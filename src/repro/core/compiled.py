@@ -16,11 +16,15 @@ size one).
 
 The kernel walks the snapshot's layer blocks front to back, grouped into
 geometrically growing *chunks*, and for each chunk computes every active
-query's scores plus the chunk's per-query maximum in the same pass (the
-fused score+bound sweep).  A query retires as soon as it provably cannot
-improve: by the DG layer invariant every layer-``l + 1`` record is
-dominated by some layer-``l`` record, so for any monotone function no
-unseen record can beat the maximum score of the last processed layer.
+query's scores plus the per-query maximum of the chunk's **last layer**
+in the same pass (the fused score+bound sweep).  A query retires as soon
+as it provably cannot improve: by the DG layer invariant every
+layer-``l + 1`` record is dominated by some layer-``l`` record
+(``verify_graph`` reports a violation as ``orphan``), so for any
+monotone function no unseen record can beat the maximum score of the
+last processed layer.  The bound is that layer's maximum, not the
+chunk's: the first chunk contains layer 1 and with it the top-1 answer,
+so a whole-chunk maximum could never retire a query there.
 
 Two scoring lanes
 -----------------
@@ -49,9 +53,12 @@ exact float64*.  Exactness argument:
    reduction as ``LinearFunction.score_many``, hence bit-identical
    scores) and runs the ordinary exact selection on it.
 3. Retirement is made conservative by the same margin on both sides —
-   retire only when ``kth32 - margin > chunk_max32 + margin`` — so the
-   fast lane may scan *at most more* records than the float64 lane,
-   never fewer, and extra records all score strictly below the k-th.
+   retire only when ``kth32 - margin > tail_max32 + margin``, with
+   ``tail_max32`` the float32 maximum over the chunk's last layer — so
+   the exact k-th best strictly exceeds every exact score in that layer
+   and hence every unseen one.  The fast lane may scan *at most more*
+   records than the float64 lane, never fewer, and extra records all
+   score strictly below the k-th.
 
 The result is bit-identical ``(-score, id)`` answer orderings **by
 construction**, which ``tests/test_fast_lane.py`` stresses with
@@ -69,7 +76,13 @@ Access accounting
 The kernel charges whole chunks of layers to each active query's
 :class:`~repro.metrics.counters.AccessCounter` — it trades extra score
 computations for vectorization — so compiled-engine tallies legitimately
-exceed the reference Travelers' best-first frontier counts.  Budgets
+exceed the reference Travelers' best-first frontier counts: a query
+scores every layer up to the first chunk edge at which its k-th best
+beats that chunk's last layer (layers 1-3, ~1.2k of 9k records, where
+the Advanced Traveler accesses ~250 at d=4, k=10; see
+``docs/performance.md``).  The Traveler's accessed set stays a checked
+lower bound — ``tests/test_compiled_parity.py`` asserts the kernel's
+scanned ids contain it.  Budgets
 (:class:`~repro.core.guard.BudgetedAccessCounter`) ride those charges
 and abort mid-kernel exactly as they aborted mid-traversal.  Use the
 reference Travelers when reproducing the paper's accessed-records
@@ -88,6 +101,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterator, Sequence
+from typing import Tuple
 
 import numpy as np
 
@@ -110,6 +124,10 @@ FAST_LANE_ENV = "REPRO_FAST_LANE"
 #: Minimum rows per kernel chunk; consecutive layers are merged until a
 #: chunk reaches ``max(k, _CHUNK_MIN_ROWS)``, and the target doubles per
 #: chunk so deep scans pay O(log n) python iterations, not O(layers).
+#: Swept over {256, 512, 1024, 2048} under the last-layer bound
+#: (``docs/performance.md``): 1024 is fastest or tied at both benchmark
+#: cells — smaller targets end the first chunk before retirement is
+#: provable and pay a second one, larger ones score layers no query needs.
 _CHUNK_MIN_ROWS = 1024
 
 
@@ -160,6 +178,7 @@ class CompiledDG:
         self._layer_bounds_cache: np.ndarray | None = None
         self._values_f32_cache: np.ndarray | None = None
         self._abs_max_cache: float | None = None
+        self._pseudo_layout_cache: "tuple[np.ndarray, np.ndarray] | None" = None
         for array in (
             values, record_ids, layer_index, pseudo_mask, children_indptr,
             children_indices, parents_indptr, parents_indices, indegree,
@@ -224,7 +243,7 @@ class CompiledDG:
     @property
     def num_pseudo(self) -> int:
         """How many snapshot records are pseudo records."""
-        return int(self.pseudo_mask.sum())
+        return int(self._pseudo_layout()[1][-1])
 
     @property
     def num_edges(self) -> int:
@@ -303,6 +322,23 @@ class CompiledDG:
                 float(np.abs(self.values).max()) if self.values.size else 0.0
             )
         return self._abs_max_cache
+
+    def _pseudo_layout(self) -> "tuple[np.ndarray, np.ndarray]":
+        """``(real-row mask, pseudo prefix counts)`` for the kernel (cached).
+
+        Everything a query needs to know about pseudo rows that does not
+        depend on the query: ``~pseudo_mask``, and the running pseudo
+        count (length ``num_records + 1``, so a chunk's pseudo tally is
+        one subtraction instead of a sum over the chunk).
+        """
+        if self._pseudo_layout_cache is None:
+            real = ~self.pseudo_mask
+            prefix = np.zeros(self.num_records + 1, dtype=np.int64)
+            np.cumsum(self.pseudo_mask, dtype=np.int64, out=prefix[1:])
+            real.setflags(write=False)
+            prefix.setflags(write=False)
+            self._pseudo_layout_cache = (real, prefix)
+        return self._pseudo_layout_cache
 
     def top_k(
         self,
@@ -489,36 +525,17 @@ def _f32_round_down(value: float) -> np.float32:
     return rounded
 
 
-def _f32_chunk_scores(
-    values_f32: np.ndarray,
-    weights_f32: np.ndarray,
-    lo: int,
-    hi: int,
-    kernel: "native.NativeChunkKernel | None",
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Fused score+bound pass of the fast lane over one chunk.
-
-    Returns ``(scores, maxima)``: the ``(rows, queries)`` float32 score
-    block and its per-query column maxima, computed in the same pass.
-    Dispatches to the optional native kernel
-    (:mod:`repro.core.native`) when built, else one BLAS ``sgemm`` plus
-    a column-max reduction.
-    """
-    if kernel is not None:
-        return kernel.score_chunk(values_f32, weights_f32, lo, hi)
-    block = values_f32[lo:hi] @ weights_f32.T
-    return block, block.max(axis=0)
-
-
-def _iter_chunks(bounds: np.ndarray, k: int) -> Iterator["tuple[int, int]"]:
-    """Yield ``(lo, hi)`` dense-row chunks aligned to layer boundaries.
+def _iter_chunks(
+    bounds: np.ndarray, k: int
+) -> Iterator["tuple[int, int, int]"]:
+    """Yield ``(lo, hi, tail)`` dense-row chunks aligned to layer boundaries.
 
     Consecutive layers are merged until a chunk holds at least
     ``max(k, _CHUNK_MIN_ROWS)`` rows, and the target doubles per chunk,
     so a scan touching ``m`` rows costs ``O(log m)`` python iterations.
-    Chunk edges stay on layer edges, which keeps the retirement bound
-    valid: everything beyond a chunk is dominated into some layer inside
-    or before it.
+    ``[tail, hi)`` is the chunk's *last layer*, the rows the retirement
+    bound is taken over: chunk edges stay on layer edges, and every
+    record beyond ``hi`` has an ancestor in that layer.
     """
     num_layers = int(bounds.shape[0]) - 1
     n = int(bounds[num_layers])
@@ -530,38 +547,34 @@ def _iter_chunks(bounds: np.ndarray, k: int) -> Iterator["tuple[int, int]"]:
         while layer < num_layers and hi - lo < target:
             layer += 1
             hi = int(bounds[layer])
-        yield lo, hi
+        yield lo, hi, int(bounds[layer - 1])
         lo = hi
         target *= 2
 
 
 def _chunk_answerable(
     compiled: CompiledDG,
-    answerable: np.ndarray,
     where: WherePredicate | None,
+    exclude: np.ndarray | None,
     lo: int,
     hi: int,
-    exclude: np.ndarray | None = None,
 ) -> np.ndarray:
     """The chunk's answerable mask, evaluating ``where`` once per record.
 
-    Predicates always see the exact float64 vectors, never the fast
-    lane's float32 copies.  Rows masked by ``exclude`` never reach the
-    predicate: an overlay-deleted record must not leak to user code.
+    Real rows not masked by ``exclude`` are eligible; ``where`` is then
+    evaluated once per eligible record, always on the exact float64
+    vector.  Pseudo and excluded rows never reach the predicate: an
+    overlay-deleted record must not leak to user code.
     """
+    eligible = compiled._pseudo_layout()[0][lo:hi]
+    if exclude is not None:
+        eligible = eligible & ~exclude[lo:hi]
     if where is None:
-        return answerable[lo:hi]
-    pseudo = compiled.pseudo_mask
+        return eligible
     values = compiled.values
     block = np.zeros(hi - lo, dtype=bool)
-    for offset in range(hi - lo):
-        dense = lo + offset
-        block[offset] = (
-            not pseudo[dense]
-            and (exclude is None or not exclude[dense])
-            and bool(where(values[dense]))
-        )
-    answerable[lo:hi] = block
+    for offset in np.flatnonzero(eligible).tolist():
+        block[offset] = bool(where(values[lo + offset]))
     return block
 
 
@@ -608,16 +621,16 @@ def batch_top_k(
     compiled tier, serving reads, fabric workers) routes here, single
     queries as batches of one.  The kernel walks the snapshot's layer
     chunks in order; for each chunk it computes every still-active
-    query's scores and the per-query chunk maximum in one fused pass
-    (all-linear batches ride the float32 fast lane with an exact float64
-    boundary re-check — see the module docstring — other monotone
-    functions take one float64 ``score_many`` call per active query per
-    chunk).  A query retires as soon as it provably cannot improve: by
-    the layer invariant no unseen record can beat the last processed
-    layer's maximum, so once ``k`` answerable records are banked and the
-    running ``k``-th best *provably* exceeds that bound the remaining
-    layers cannot contribute.  Ties on the k-th score are resolved
-    exactly (ascending id), in both lanes.
+    query's scores and the per-query maximum of the chunk's last layer
+    in one fused pass (all-linear batches ride the float32 fast lane
+    with an exact float64 boundary re-check — see the module docstring —
+    other monotone functions take one float64 ``score_many`` call per
+    active query per chunk).  A query retires as soon as it provably
+    cannot improve: by the layer invariant no unseen record can beat the
+    last processed layer's maximum, so once ``k`` answerable records are
+    banked and the running ``k``-th best *provably* exceeds that bound
+    the remaining layers cannot contribute.  Ties on the k-th score are
+    resolved exactly (ascending id), in both lanes.
 
     Results carry identical ids, identical float scores, and identical
     ``(-score, id)`` orderings to the reference
@@ -660,10 +673,10 @@ def batch_top_k(
         rows keep bounding their dominated descendants, so the layer
         invariant's retirement argument is untouched.
 
-    Peak memory is ``len(functions) * num_records * 4`` bytes of float32
-    scores on the fast lane (``* 8`` float64 on the oracle lane); cap the
-    batch size accordingly (the parallel executor defaults to 64-query
-    sub-batches).
+    Peak memory is ``len(functions) * rows_scanned * 4`` bytes of float32
+    scores on the fast lane (``* 8`` float64 on the oracle lane) — the
+    chunks actually swept, not the snapshot; cap the batch size
+    accordingly (the parallel executor defaults to 64-query sub-batches).
     """
     if k <= 0:
         raise ValueError("k must be positive")
@@ -699,27 +712,26 @@ def batch_top_k(
         ]
 
     weights: np.ndarray | None = None
-    linear = [f for f in functions if isinstance(f, LinearFunction)]
-    if len(linear) == num_queries:
-        weights = np.stack([f.weights for f in linear])
+    if all(isinstance(f, LinearFunction) for f in functions):
+        weights = np.array([f.weights for f in functions], dtype=np.float64)
         if int(weights.shape[1]) != int(compiled.values.shape[1]):
             raise ValueError(
                 f"function dims {int(weights.shape[1])} != "
                 f"snapshot dims {int(compiled.values.shape[1])}"
             )
-
-    if weights is not None and _f32_lane_applies(compiled, weights):
-        return _f32_lane(
-            compiled, weights, k, where, counters, algorithm, deadline,
-            exclude,
-        )
+        abs_weights = np.abs(weights)
+        if _f32_lane_applies(compiled, abs_weights):
+            return _f32_lane(
+                compiled, functions, weights, abs_weights, k, where,
+                counters, algorithm, deadline, exclude,
+            )
     return _f64_lane(
         compiled, functions, weights, k, where, counters, algorithm,
         deadline, exclude,
     )
 
 
-def _f32_lane_applies(compiled: CompiledDG, weights: np.ndarray) -> bool:
+def _f32_lane_applies(compiled: CompiledDG, abs_weights: np.ndarray) -> bool:
     """Fast-lane guard: enabled, and float32 cannot overflow.
 
     The margin model assumes finite float32 arithmetic; data or weights
@@ -728,15 +740,133 @@ def _f32_lane_applies(compiled: CompiledDG, weights: np.ndarray) -> bool:
     """
     if not fast_lane_enabled():
         return False
-    dims = int(weights.shape[1])
+    dims = int(abs_weights.shape[1])
     headroom = float(np.finfo(np.float32).max) / 8.0
-    scale = float(np.abs(weights).max(initial=0.0)) * compiled.abs_max()
+    scale = float(abs_weights.max(initial=0.0)) * compiled.abs_max()
     return dims * scale < headroom
+
+
+#: One swept chunk, kept for the final selection: ``(lo, hi, act_idx,
+#: scores, answerable)`` — the ``(active queries, rows)`` score block, the
+#: queries its rows belong to (ascending), and the mask over its columns.
+_Chunk = Tuple[int, int, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _sweep(
+    compiled: CompiledDG,
+    functions: Sequence[ScoringFunction],
+    weights: np.ndarray | None,
+    margin: np.ndarray | None,
+    k: int,
+    where: WherePredicate | None,
+    counters: "list[AccessCounter]",
+    deadline: Deadline | None,
+    exclude: np.ndarray | None,
+) -> "tuple[np.ndarray, np.ndarray, list[_Chunk]]":
+    """The chunk loop both lanes share: score, charge, bank, retire.
+
+    ``margin`` selects the lane.  With a margin (fast lane) ``weights``
+    is the float32 weight matrix and chunks are scored by one ``sgemm``
+    — or the native fused loop — over the snapshot's float32 copy;
+    without one, scores are exact float64: the ``score_many``
+    multiply-and-sum for a float64 ``weights`` matrix, else one
+    ``score_many`` call per active query.
+
+    Returns ``(topk, stop_prefix, scanned)``: each query's running top-k
+    scores in the lane's dtype (column 0 is the k-th best, ``-inf`` until
+    ``k`` answerable records were seen), the dense row its scan stopped
+    at, and the swept chunks, which tile ``[0, max(stop_prefix))``.
+
+    A query retires at a chunk edge once ``k`` answerable records are
+    banked and its k-th best exceeds the maximum of the chunk's *last
+    layer* — taken off the block just scored, before any filtering,
+    because pseudo and excluded rows still bound their descendants.
+    Every deeper record has an ancestor in that layer, so none can score
+    higher.  The margin pads the test on both sides: the exact k-th is
+    ``>= kth - margin`` and no unseen exact score exceeds ``tail_max +
+    margin``.  The float64 lane retires on the strict comparison alone,
+    so score ties — which tie-break on ascending id — are still resolved
+    exactly.
+    """
+    num_queries = len(functions)
+    values = compiled.values
+    ids_arr = compiled.record_ids
+    n = int(ids_arr.shape[0])
+    pseudo_prefix = compiled._pseudo_layout()[1]
+    values_f32 = None if margin is None else compiled._f32_values()
+    kernel = None if margin is None else native.kernel()
+    act_idx = np.arange(num_queries, dtype=np.int64)
+    topk = np.full(
+        (num_queries, k),
+        -np.inf,
+        dtype=np.float64 if weights is None else weights.dtype,
+    )
+    stop_prefix = np.full(num_queries, n, dtype=np.int64)
+    scanned: "list[_Chunk]" = []
+    ans_count = 0
+
+    for lo, hi, tail in _iter_chunks(compiled.layer_bounds(), k):
+        if deadline is not None:
+            deadline.check(stage="kernel")
+        queries = act_idx.tolist()
+        if weights is None:
+            block = np.empty((len(queries), hi - lo), dtype=np.float64)
+            for row, q in enumerate(queries):
+                block[row] = functions[q].score_many(values[lo:hi])
+        elif values_f32 is None:
+            block = np.sum(
+                values[None, lo:hi, :] * weights[act_idx, None, :], axis=2
+            )
+        elif kernel is None:
+            block = weights[act_idx] @ values_f32[lo:hi].T
+        else:
+            block, tail_max = kernel.score_chunk(
+                values_f32, weights[act_idx], lo, hi, tail
+            )
+        if kernel is None:
+            tail_max = block[:, tail - lo:].max(axis=1)
+
+        # One owning copy per chunk, shared by every active query's
+        # counter — a slice view would pin the snapshot buffer (fatal for
+        # shared-memory workers) and get re-copied per query instead.
+        block_ids = ids_arr[lo:hi].copy()
+        block_pseudo = int(pseudo_prefix[hi] - pseudo_prefix[lo])
+        for q in queries:
+            counters[q].count_computed_batch(block_ids, pseudo=block_pseudo)
+
+        ans_block = _chunk_answerable(compiled, where, exclude, lo, hi)
+        scanned.append((lo, hi, act_idx, block, ans_block))
+        num_answerable = int(ans_block.sum())
+        if num_answerable:
+            pool = np.concatenate(
+                [topk[act_idx], block[:, ans_block]], axis=1
+            )
+            topk[act_idx] = np.partition(
+                pool, int(pool.shape[1]) - k, axis=1
+            )[:, -k:]
+            ans_count += num_answerable
+        if hi >= n or ans_count < k:
+            continue
+        # Column 0 of the kept slice is the running k-th best (row
+        # minimum).  float32 operands promote to float64 against margin.
+        kth = topk[act_idx, 0]
+        if margin is None:
+            done = kth > tail_max
+        else:
+            marg = margin[act_idx]
+            done = (kth - marg) > (tail_max + marg)
+        stop_prefix[act_idx[done]] = hi
+        act_idx = act_idx[~done]
+        if act_idx.size == 0:
+            break
+    return topk, stop_prefix, scanned
 
 
 def _f32_lane(
     compiled: CompiledDG,
+    functions: Sequence[ScoringFunction],
     weights: np.ndarray,
+    abs_weights: np.ndarray,
     k: int,
     where: WherePredicate | None,
     counters: "list[AccessCounter]",
@@ -745,97 +875,29 @@ def _f32_lane(
     exclude: np.ndarray | None = None,
 ) -> "list[TopKResult]":
     """The two-precision lane: float32 scan, exact float64 boundary re-check."""
-    num_queries = int(weights.shape[0])
     values = compiled.values
-    values_f32 = compiled._f32_values()
-    weights_f32 = np.ascontiguousarray(weights, dtype=np.float32)
     ids_arr = compiled.record_ids
-    pseudo = compiled.pseudo_mask
-    n = int(values.shape[0])
-    bounds = compiled.layer_bounds()
     margin = _f32_margin(
-        int(weights.shape[1]), np.abs(weights).sum(axis=1), compiled.abs_max()
+        int(weights.shape[1]), abs_weights.sum(axis=1), compiled.abs_max()
+    )
+    topk32, stop_prefix, scanned = _sweep(
+        compiled, functions, weights.astype(np.float32), margin, k, where,
+        counters, deadline, exclude,
     )
 
-    if where is None:
-        answerable = ~pseudo if exclude is None else ~pseudo & ~exclude
-    else:
-        answerable = np.zeros(n, dtype=bool)
-
-    neg_inf = np.float32(-np.inf)
-    active = np.ones(num_queries, dtype=bool)
-    topk32 = np.full((num_queries, k), neg_inf, dtype=np.float32)
-    stop_prefix = np.full(num_queries, n, dtype=np.int64)
-    # Per-chunk (lo, hi, act_idx, float32 score block) kept for the final
-    # candidate re-check; chunks tile the scanned prefix contiguously.
-    scanned: "list[tuple[int, int, np.ndarray, np.ndarray]]" = []
-    ans_count = 0
-
-    kernel = native.kernel()
-    for lo, hi in _iter_chunks(bounds, k):
-        if deadline is not None:
-            deadline.check(stage="kernel")
-        act_idx = np.flatnonzero(active)
-        block32, chunk_max32 = _f32_chunk_scores(
-            values_f32, weights_f32[act_idx], lo, hi, kernel
-        )
-        scanned.append((lo, hi, act_idx, block32))
-
-        block_ids = ids_arr[lo:hi].copy()
-        block_pseudo = int(pseudo[lo:hi].sum())
-        for q in act_idx.tolist():
-            counters[q].count_computed_batch(block_ids, pseudo=block_pseudo)
-
-        ans_block = _chunk_answerable(
-            compiled, answerable, where, lo, hi, exclude
-        )
-        num_answerable = int(ans_block.sum())
-        if num_answerable:
-            pool = np.concatenate(
-                [topk32[act_idx], block32[ans_block].T], axis=1
-            )
-            topk32[act_idx] = np.partition(
-                pool, int(pool.shape[1]) - k, axis=1
-            )[:, -k:]
-            ans_count += num_answerable
-        # Column 0 of the kept slice is the running k-th best (row
-        # minimum); all -inf until k answerable records have been seen.
-        kth32 = topk32[act_idx, 0].astype(np.float64)
-        marg = margin[act_idx]
-        if hi >= n:
-            done = np.ones(act_idx.size, dtype=bool)
-        else:
-            # Conservative retirement: the exact k-th is >= kth32 - marg
-            # and no unseen exact score exceeds chunk_max32 + marg.
-            done = (ans_count >= k) & (
-                (kth32 - marg) > (chunk_max32.astype(np.float64) + marg)
-            )
-        retired = act_idx[done]
-        stop_prefix[retired] = hi
-        active[retired] = False
-        if not active.any():
-            break
-
     results: "list[TopKResult]" = []
-    for q in range(num_queries):
+    for q in range(len(functions)):
         prefix = int(stop_prefix[q])
-        threshold = float(topk32[q, 0]) - 2.0 * float(margin[q])
-        threshold32 = _f32_round_down(threshold)
+        threshold32 = _f32_round_down(
+            float(topk32[q, 0]) - 2.0 * float(margin[q])
+        )
         cand: "list[np.ndarray]" = []
-        for lo, hi, act_idx, block32 in scanned:
+        for lo, _hi, act_idx, block32, ans_block in scanned:
             if lo >= prefix:
                 break
-            column = block32[:, int(np.searchsorted(act_idx, q))]
-            keep = np.flatnonzero(
-                answerable[lo:hi] & (column >= threshold32)
-            )
-            if keep.size:
-                cand.append(keep.astype(np.int64) + lo)
-        if not cand:
-            results.append(
-                TopKResult.from_pairs([], counters[q], algorithm=algorithm)
-            )
-            continue
+            row = int(np.searchsorted(act_idx, q))
+            keep = np.flatnonzero(ans_block & (block32[row] >= threshold32))
+            cand.append(keep + lo)
         rows = np.concatenate(cand)
         # Exact float64 boundary re-check: same elementwise-multiply +
         # np.sum reduction as LinearFunction.score_many, so the kept
@@ -867,89 +929,31 @@ def _f64_lane(
     Linear batches score with the same broadcast elementwise-multiply +
     ``np.sum`` reduction as ``LinearFunction.score_many`` (bit-identical
     rows by the determinism contract); other monotone functions get one
-    ``score_many`` call per active query per chunk.
+    ``score_many`` call per active query per chunk.  Answers are selected
+    straight from the per-chunk score blocks, so memory and time are
+    O(rows scanned).
     """
-    num_queries = len(functions)
-    values = compiled.values
     ids_arr = compiled.record_ids
-    pseudo = compiled.pseudo_mask
-    n = int(values.shape[0])
-    bounds = compiled.layer_bounds()
-
-    if where is None:
-        answerable = ~pseudo if exclude is None else ~pseudo & ~exclude
-    else:
-        answerable = np.zeros(n, dtype=bool)
-
-    scores_all = np.empty((num_queries, n), dtype=np.float64)
-    active = np.ones(num_queries, dtype=bool)
-    topk = np.full((num_queries, k), -np.inf, dtype=np.float64)
-    stop_prefix = np.full(num_queries, n, dtype=np.int64)
-    ans_count = 0
-
-    for lo, hi in _iter_chunks(bounds, k):
-        if deadline is not None:
-            deadline.check(stage="kernel")
-        block = values[lo:hi]
-        act_idx = np.flatnonzero(active)
-        if weights is not None:
-            block_scores = np.sum(
-                block[None, :, :] * weights[act_idx, None, :], axis=2
-            )
-        else:
-            block_scores = np.empty((act_idx.size, hi - lo), dtype=np.float64)
-            for row, q in enumerate(act_idx.tolist()):
-                block_scores[row] = functions[q].score_many(block)
-        scores_all[act_idx, lo:hi] = block_scores
-        # Fused score+bound: the chunk maximum comes off the block just
-        # scored, before any filtering (pseudo records still bound their
-        # children).
-        chunk_max = block_scores.max(axis=1)
-
-        # One owning copy per chunk, shared by every active query's
-        # counter — a slice view would pin the snapshot buffer (fatal for
-        # shared-memory workers) and get re-copied per query instead.
-        block_ids = ids_arr[lo:hi].copy()
-        block_pseudo = int(pseudo[lo:hi].sum())
-        for q in act_idx.tolist():
-            counters[q].count_computed_batch(block_ids, pseudo=block_pseudo)
-
-        ans_block = _chunk_answerable(
-            compiled, answerable, where, lo, hi, exclude
-        )
-        num_answerable = int(ans_block.sum())
-        if num_answerable:
-            pool = np.concatenate(
-                [topk[act_idx], block_scores[:, ans_block]], axis=1
-            )
-            topk[act_idx] = np.partition(
-                pool, int(pool.shape[1]) - k, axis=1
-            )[:, -k:]
-            ans_count += num_answerable
-        # After any partition, column 0 of the kept slice is the k-th
-        # best (row minimum); before the first partition every entry is
-        # -inf, so column 0 is still the row minimum.
-        kth = topk[act_idx, 0]
-        if hi >= n:
-            done = np.ones(act_idx.size, dtype=bool)
-        else:
-            # Strict, so score ties — which tie-break on ascending id —
-            # are still resolved exactly.
-            done = (ans_count >= k) & (kth > chunk_max)
-        retired = act_idx[done]
-        stop_prefix[retired] = hi
-        active[retired] = False
-        if not active.any():
-            break
+    _topk, stop_prefix, scanned = _sweep(
+        compiled, functions, weights, None, k, where, counters, deadline,
+        exclude,
+    )
 
     results: "list[TopKResult]" = []
-    for q in range(num_queries):
+    for q in range(len(functions)):
         prefix = int(stop_prefix[q])
-        dense_idx = np.flatnonzero(answerable[:prefix])
+        ids_parts: "list[np.ndarray]" = []
+        score_parts: "list[np.ndarray]" = []
+        for lo, hi, act_idx, block, ans_block in scanned:
+            if lo >= prefix:
+                break
+            row = int(np.searchsorted(act_idx, q))
+            ids_parts.append(ids_arr[lo:hi][ans_block])
+            score_parts.append(block[row, ans_block])
         results.append(
             TopKResult.from_pairs(
                 _select_exact(
-                    ids_arr[dense_idx], scores_all[q, :prefix][dense_idx], k
+                    np.concatenate(ids_parts), np.concatenate(score_parts), k
                 ),
                 counters[q],
                 algorithm=algorithm,

@@ -2,8 +2,9 @@
 
 The float32 fast lane in :mod:`repro.core.compiled` spends its scan time
 in one operation: score a chunk of the value matrix against the active
-queries' weight rows and take per-query maxima in the same pass.  The
-pure-numpy version (one ``sgemm`` plus a column-max reduction) is the
+queries' weight rows and take per-query maxima over the chunk's last
+layer in the same pass.  The
+pure-numpy version (one ``sgemm`` plus a row-max reduction) is the
 always-on parity oracle; this module provides a drop-in native build of
 that fused loop for deployments that install the ``[native]`` extra
 (``pip install repro[native]``).
@@ -70,9 +71,15 @@ class NativeChunkKernel:
         weights_f32: np.ndarray,
         lo: int,
         hi: int,
+        tail: int,
     ) -> "Tuple[np.ndarray, np.ndarray]":
-        """Return the chunk's ``(rows, queries)`` scores and column maxima."""
-        return self._loop(values_f32, weights_f32, lo, hi)  # type: ignore[no-any-return]
+        """Score rows ``[lo, hi)``; bound them by their last layer.
+
+        Returns the chunk's ``(queries, rows)`` scores and, per query,
+        the maximum over rows ``[tail, hi)`` — the chunk's last layer,
+        which is what the retirement test compares against.
+        """
+        return self._loop(values_f32, weights_f32, lo, hi, tail)  # type: ignore[no-any-return]
 
 
 def _build() -> "Optional[NativeChunkKernel]":
@@ -82,11 +89,11 @@ def _build() -> "Optional[NativeChunkKernel]":
         import numba
 
         @numba.njit(cache=False, fastmath=True)  # type: ignore[misc]
-        def fused_chunk(values, weights, lo, hi):  # type: ignore[no-untyped-def]
+        def fused_chunk(values, weights, lo, hi, tail):  # type: ignore[no-untyped-def]
             rows = hi - lo
             queries = weights.shape[0]
             dims = weights.shape[1]
-            scores = np.empty((rows, queries), dtype=np.float32)
+            scores = np.empty((queries, rows), dtype=np.float32)
             maxima = np.full(queries, -np.inf, dtype=np.float32)
             for r in range(rows):
                 base = lo + r
@@ -94,8 +101,8 @@ def _build() -> "Optional[NativeChunkKernel]":
                     acc = np.float32(0.0)
                     for t in range(dims):
                         acc += values[base, t] * weights[q, t]
-                    scores[r, q] = acc
-                    if acc > maxima[q]:
+                    scores[q, r] = acc
+                    if base >= tail and acc > maxima[q]:
                         maxima[q] = acc
             return scores, maxima
 
@@ -103,7 +110,7 @@ def _build() -> "Optional[NativeChunkKernel]":
         # instead of inside the first query.
         probe_values = np.zeros((1, 1), dtype=np.float32)
         probe_weights = np.zeros((1, 1), dtype=np.float32)
-        fused_chunk(probe_values, probe_weights, 0, 1)
+        fused_chunk(probe_values, probe_weights, 0, 1, 0)
         return NativeChunkKernel(fused_chunk)
     except Exception as exc:  # repro: noqa[typed-errors] -- any import/compile failure of the optional kernel must degrade to the numpy oracle, not crash queries
         _UNAVAILABLE = True

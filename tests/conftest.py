@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import faulthandler
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.core import compiled as compiled_engine
 from repro.core.dataset import Dataset
 from repro.core.functions import LinearFunction
 from repro.core.result import TopKResult
@@ -34,6 +37,29 @@ if _DEADLINE > 0:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(0)
+
+
+def one_layer_per_chunk(bounds, k):
+    """Stand-in for ``repro.core.compiled._iter_chunks``: one layer a chunk."""
+    for layer in range(len(bounds) - 1):
+        lo, hi = int(bounds[layer]), int(bounds[layer + 1])
+        yield lo, hi, lo
+
+
+@contextlib.contextmanager
+def layer_chunks():
+    """Run the compiled kernel with one layer per chunk.
+
+    Every layer edge becomes a retirement point, the hardest schedule
+    for the kernel's last-layer bound.  The stock schedule swallows the
+    suites' few-hundred-record fixtures in its first chunk, where
+    nothing can retire early, so the parity sweeps repeat each query
+    under this one.
+    """
+    with mock.patch.object(
+        compiled_engine, "_iter_chunks", one_layer_per_chunk
+    ):
+        yield
 
 
 @pytest.fixture

@@ -16,7 +16,15 @@ the best-first traversal's.  The counters are instead held to their own
 invariants — monotone in the reference's, consistent with the scanned
 id set, pseudo split correct — and
 ``tests/test_guard.py``/``tests/test_fast_lane.py`` cover their budget
-and threading behaviour.
+and threading behaviour.  The paper's accessed-record set stays a
+checked lower bound: the kernel scans a superset of what the reference
+Traveler accesses, even with one layer per chunk, where the kernel
+stops as early as its bound allows.
+
+Every sweep asks each query twice: under the stock chunk schedule, which
+scans these small fixtures in one chunk, and under
+``tests.conftest.layer_chunks`` — one layer per chunk, so that every
+layer edge is a retirement point for the last-layer bound.
 """
 
 import numpy as np
@@ -38,6 +46,7 @@ from repro.core.functions import (
 from repro.core.maintenance import insert_record
 from repro.core.traveler import BasicTraveler
 from repro.data.generators import anticorrelated, correlated, uniform
+from tests.conftest import layer_chunks
 
 N = 250
 DIMS = 3
@@ -53,6 +62,13 @@ def make_functions(seed: int) -> list:
         MinFunction(),
         WeightedPowerFunction(weights, p=2.0),
     ]
+
+
+def assert_kernel_parity(reference, traveler, function, k, **kwargs):
+    """:func:`assert_parity` under the stock and the per-layer schedule."""
+    assert_parity(reference, traveler.top_k(function, k, **kwargs))
+    with layer_chunks():
+        assert_parity(reference, traveler.top_k(function, k, **kwargs))
 
 
 def assert_parity(reference, compiled):
@@ -77,9 +93,9 @@ def test_basic_traveler_parity(kind, k):
     graph = build_dominant_graph(dataset)
     snapshot = graph.compile()
     for function in make_functions(seed=k):
-        assert_parity(
+        assert_kernel_parity(
             BasicTraveler(graph).top_k(function, k),
-            CompiledBasicTraveler(snapshot).top_k(function, k),
+            CompiledBasicTraveler(snapshot), function, k,
         )
 
 
@@ -92,9 +108,9 @@ def test_advanced_traveler_parity_with_pseudo_levels(kind, k):
         assert graph.num_pseudo > 0, "theta=2 must force pseudo levels"
     snapshot = graph.compile()
     for function in make_functions(seed=k):
-        assert_parity(
+        assert_kernel_parity(
             AdvancedTraveler(graph).top_k(function, k),
-            CompiledAdvancedTraveler(snapshot).top_k(function, k),
+            CompiledAdvancedTraveler(snapshot), function, k,
         )
 
 
@@ -106,9 +122,9 @@ def test_filtered_path_parity(kind, k):
     snapshot = graph.compile()
     where = lambda vector: vector[0] > 350.0  # noqa: E731
     for function in make_functions(seed=k):
-        assert_parity(
+        assert_kernel_parity(
             AdvancedTraveler(graph).top_k(function, k, where=where),
-            CompiledAdvancedTraveler(snapshot).top_k(function, k, where=where),
+            CompiledAdvancedTraveler(snapshot), function, k, where=where,
         )
 
 
@@ -121,6 +137,27 @@ def test_advanced_on_plain_graph_parity():
         AdvancedTraveler(graph).top_k(function, 25),
         CompiledAdvancedTraveler(snapshot).top_k(function, 25),
     )
+
+
+@pytest.mark.parametrize("k", [1, 10, 50])
+def test_kernel_scans_a_superset_of_the_travelers_accesses(k):
+    """The paper's accessed-record set is a lower bound on the scan.
+
+    Plain DG, continuous data, strictly positive weights (generic
+    position: no score ties).  The graph is large enough that the stock
+    schedule stops short of a full scan too, so both schedules retire on
+    a last-layer bound here.
+    """
+    graph = build_dominant_graph(uniform(2500, DIMS, seed=41))
+    snapshot = graph.compile()
+    traveler = CompiledAdvancedTraveler(snapshot)
+    rng = np.random.default_rng(k)
+    for weights in rng.dirichlet(np.ones(DIMS), size=6):
+        function = LinearFunction(weights + 0.01)
+        assert_kernel_parity(
+            AdvancedTraveler(graph).top_k(function, k), traveler, function, k
+        )
+        assert traveler.top_k(function, k).stats.computed < snapshot.num_records
 
 
 def test_k_larger_than_dataset_returns_everything():
@@ -199,10 +236,9 @@ def test_tie_heavy_grid_parity():
     dataset = Dataset(values)
     graph = build_dominant_graph(dataset)
     snapshot = graph.compile()
+    function = LinearFunction([1.0, 1.0, 1.0])
     for k in (1, 7, 120):
-        assert_parity(
-            BasicTraveler(graph).top_k(LinearFunction([1.0, 1.0, 1.0]), k),
-            CompiledBasicTraveler(snapshot).top_k(
-                LinearFunction([1.0, 1.0, 1.0]), k
-            ),
+        assert_kernel_parity(
+            BasicTraveler(graph).top_k(function, k),
+            CompiledBasicTraveler(snapshot), function, k,
         )

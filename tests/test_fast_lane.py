@@ -14,6 +14,12 @@ The native-kernel flag (``REPRO_NATIVE=1``) is covered at the end: with
 numba installed it must be bit-identical too (the margin bound holds for
 any summation order); without it the engine must warn once and fall
 back to the numpy lane.  CI runs the whole suite under the flag.
+
+Every sweep asks each query under both lanes *and* both chunk schedules
+(:func:`kernel_results`): the stock one, which scans these small
+fixtures in one chunk, and ``tests.conftest.layer_chunks`` — one layer
+per chunk, so every layer edge is a retirement point for the last-layer
+bound.
 """
 
 import os
@@ -26,6 +32,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.baselines.naive import naive_top_k_subset
+from repro.core import compiled as compiled_engine
 from repro.core import native
 from repro.core.advanced import AdvancedTraveler
 from repro.core.builder import build_dominant_graph, build_extended_graph
@@ -35,6 +43,7 @@ from repro.core.compiled import (
     CompiledBasicTraveler,
     _f32_margin,
     _f32_round_down,
+    _iter_chunks,
     fast_lane_enabled,
 )
 from repro.core.dataset import Dataset
@@ -42,6 +51,7 @@ from repro.core.functions import LinearFunction, MinFunction
 from repro.core.maintenance import mark_deleted
 from repro.core.traveler import BasicTraveler
 from repro.data.generators import uniform
+from tests.conftest import layer_chunks
 
 #: A score gap far below float32 resolution at magnitude ~1: the float32
 #: lane cannot distinguish records this close, only the exact re-check can.
@@ -60,6 +70,20 @@ def f64_lane_result(traveler, function, k, **kwargs):
     with mock.patch.dict(os.environ, {FAST_LANE_ENV: "0"}):
         assert not fast_lane_enabled()
         return traveler.top_k(function, k, **kwargs)
+
+
+def kernel_results(traveler, function, k, **kwargs):
+    """The query under both lanes x both chunk schedules."""
+    results = [
+        fast_lane_result(traveler, function, k, **kwargs),
+        f64_lane_result(traveler, function, k, **kwargs),
+    ]
+    with layer_chunks():
+        results += [
+            fast_lane_result(traveler, function, k, **kwargs),
+            f64_lane_result(traveler, function, k, **kwargs),
+        ]
+    return results
 
 
 def assert_bit_identical(reference, result):
@@ -100,10 +124,10 @@ class TestNearTies:
         snapshot = graph.compile()
         function = LinearFunction([0.4, 0.35, 0.25])
         reference = BasicTraveler(graph).top_k(function, k)
-        fast = fast_lane_result(CompiledBasicTraveler(snapshot), function, k)
-        oracle = f64_lane_result(CompiledBasicTraveler(snapshot), function, k)
-        assert_bit_identical(reference, fast)
-        assert_bit_identical(reference, oracle)
+        for result in kernel_results(
+            CompiledBasicTraveler(snapshot), function, k
+        ):
+            assert_bit_identical(reference, result)
 
     @pytest.mark.parametrize("k", [1, 3, 8, 12, 24])
     def test_duplicate_scores_straddling_kth_rank(self, k):
@@ -120,12 +144,11 @@ class TestNearTies:
         snapshot = graph.compile()
         function = LinearFunction([1.0, 1.0, 1.0])
         reference = BasicTraveler(graph).top_k(function, k)
-        fast = fast_lane_result(CompiledBasicTraveler(snapshot), function, k)
-        assert_bit_identical(reference, fast)
-        assert_bit_identical(
-            reference, f64_lane_result(CompiledBasicTraveler(snapshot), function, k)
-        )
-        assert_canonical_tie_order(fast)
+        for result in kernel_results(
+            CompiledBasicTraveler(snapshot), function, k
+        ):
+            assert_bit_identical(reference, result)
+            assert_canonical_tie_order(result)
 
     def test_overflow_scale_falls_back_to_f64_lane(self):
         """Data near float32 max must bypass the fast lane, not wrap it."""
@@ -140,24 +163,31 @@ class TestNearTies:
 
 
 class TestAcceptanceSweep:
-    """plain/pseudo/mark-deleted/where x dims 2-5 x k in {1, 10, 50}."""
+    """plain/pseudo/mark-deleted/where/exclude x dims 2-5 x k in {1, 10, 50}.
+
+    Both lanes must equal the reference traveler *and* a naive scan of
+    the answerable records under ``(-score, id)``, bit for bit.
+    """
 
     KS = (1, 10, 50)
+
+    def functions(self, dims, k):
+        rng = np.random.default_rng(dims * 1000 + k)
+        return LinearFunction(rng.dirichlet(np.ones(dims))), MinFunction()
 
     def check(self, graph, k, where=None):
         snapshot = graph.compile()
         dims = int(snapshot.values.shape[1])
-        rng = np.random.default_rng(dims * 1000 + k)
-        for function in (
-            LinearFunction(rng.dirichlet(np.ones(dims))),
-            MinFunction(),
-        ):
+        for function in self.functions(dims, k):
             reference = AdvancedTraveler(graph).top_k(function, k, where=where)
-            compiled = CompiledAdvancedTraveler(snapshot)
-            fast = fast_lane_result(compiled, function, k, where=where)
-            oracle = f64_lane_result(compiled, function, k, where=where)
-            assert_bit_identical(reference, fast)
-            assert_bit_identical(reference, oracle)
+            scan = naive_top_k_subset(
+                graph.dataset, graph.real_ids(), function, k, where=where
+            )
+            assert_bit_identical(scan, reference)
+            for result in kernel_results(
+                CompiledAdvancedTraveler(snapshot), function, k, where=where
+            ):
+                assert_bit_identical(scan, result)
 
     @pytest.mark.parametrize("dims", [2, 3, 4, 5])
     @pytest.mark.parametrize("k", KS)
@@ -182,6 +212,67 @@ class TestAcceptanceSweep:
     def test_where_filtered(self, dims, k):
         graph = build_extended_graph(uniform(160, dims, seed=dims), theta=3)
         self.check(graph, k, where=lambda vector: vector[0] > 400.0)
+
+    @pytest.mark.parametrize("extended", [False, True])
+    @pytest.mark.parametrize("dims", [2, 4])
+    @pytest.mark.parametrize("k", KS)
+    def test_excluded_rows(self, extended, dims, k):
+        """Masked rows keep bounding retirement but never answer."""
+        dataset = uniform(160, dims, seed=dims)
+        graph = (
+            build_extended_graph(dataset, theta=3) if extended
+            else build_dominant_graph(dataset)
+        )
+        snapshot = graph.compile()
+        exclude = np.zeros(snapshot.num_records, dtype=bool)
+        exclude[::3] = True  # a third of every layer, layer 1 included
+        masked = set(snapshot.record_ids[exclude].tolist())
+        alive = [rid for rid in graph.real_ids() if rid not in masked]
+        for function in self.functions(dims, k):
+            scan = naive_top_k_subset(graph.dataset, alive, function, k)
+            for result in kernel_results(
+                snapshot, function, k, exclude=exclude
+            ):
+                assert_bit_identical(scan, result)
+
+
+class TestLastLayerBound:
+    """The kernel retires on the last scanned layer's maximum."""
+
+    def test_chunks_tile_the_layers_and_name_their_last_layer(self):
+        bounds = build_dominant_graph(uniform(400, 3, seed=8)).compile().layer_bounds()
+        edges = bounds.tolist()
+        with mock.patch.object(compiled_engine, "_CHUNK_MIN_ROWS", 1):
+            schedules = [list(_iter_chunks(bounds, k)) for k in (1, 7, 64)]
+        schedules.append(list(_iter_chunks(bounds, 10)))
+        for chunks in schedules:
+            assert chunks[0][0] == 0 and chunks[-1][1] == edges[-1]
+            for (lo, hi, tail), following in zip(chunks, chunks[1:] + [None]):
+                assert lo <= tail < hi
+                assert hi in edges and tail == edges[edges.index(hi) - 1]
+                assert following is None or following[0] == hi
+        assert len(schedules[0]) > 1  # the patched target does split layers
+
+    @pytest.mark.parametrize("lane", ["1", "0"])
+    def test_read_that_provably_retires_in_chunk_one_scores_only_it(self, lane):
+        """A k=10 read costs the first chunk's rows, not two chunks'."""
+        dataset = uniform(4000, 3, seed=21)
+        graph = build_dominant_graph(dataset)
+        snapshot = graph.compile()
+        bounds = snapshot.layer_bounds().tolist()
+        _lo, first_hi, tail = next(_iter_chunks(snapshot.layer_bounds(), 10))
+        assert first_hi < snapshot.num_records
+        function = LinearFunction([0.5, 0.3, 0.2])
+        scores = function.score_many(snapshot.values)
+        kth = np.sort(scores[:first_hi])[-10]
+        # Provable: the 10th best of chunk one beats its whole last
+        # layer by far more than the float32 margin (~1e-3 here).
+        assert kth - scores[tail:first_hi].max() > 1.0
+        with mock.patch.dict(os.environ, {FAST_LANE_ENV: lane}):
+            result = CompiledBasicTraveler(snapshot).top_k(function, 10)
+        assert result.stats.computed == first_hi
+        assert first_hi in bounds
+        assert_bit_identical(BasicTraveler(graph).top_k(function, 10), result)
 
 
 # Hypothesis sweep: small integer-grid blocks (ties and duplicates are
@@ -211,11 +302,11 @@ def test_property_fast_lane_matches_reference(block, k, weight_seed):
     weights = np.random.default_rng(weight_seed).dirichlet(np.ones(dims))
     for function in (LinearFunction(weights), MinFunction()):
         reference = BasicTraveler(graph).top_k(function, k)
-        compiled = CompiledBasicTraveler(snapshot)
-        fast = fast_lane_result(compiled, function, k)
-        assert_bit_identical(reference, fast)
-        assert_bit_identical(reference, f64_lane_result(compiled, function, k))
-        assert_canonical_tie_order(fast)
+        for result in kernel_results(
+            CompiledBasicTraveler(snapshot), function, k
+        ):
+            assert_bit_identical(reference, result)
+            assert_canonical_tie_order(result)
 
 
 class TestMargin:
@@ -282,7 +373,31 @@ class TestNativeFlag:
                     warnings.simplefilter("error")
                     again = CompiledBasicTraveler(snapshot).top_k(function, 10)
                 assert_bit_identical(reference, again)
+            with layer_chunks():  # the kernel's tail guard, chunk by chunk
+                layered = CompiledBasicTraveler(snapshot).top_k(function, 10)
         assert_bit_identical(reference, result)
+        assert_bit_identical(reference, layered)
+
+    def test_native_chunk_matches_the_numpy_chunk_on_the_tail_bound(self):
+        """Same scores, and the maximum is over the last layer only."""
+        pytest.importorskip("numba")
+        rng = np.random.default_rng(5)
+        values = rng.uniform(0.0, 100.0, size=(300, 4)).astype(np.float32)
+        # Best rows first, as in a layered snapshot: a maximum taken over
+        # the whole chunk would differ from the last layer's.
+        values = values[np.argsort(-values.sum(axis=1))]
+        weights = rng.dirichlet(np.ones(4), size=3).astype(np.float32)
+        with mock.patch.dict(os.environ, {native.NATIVE_ENV: "1"}):
+            kernel = native.kernel()
+        assert kernel is not None
+        for lo, hi, tail in ((0, 300, 0), (40, 300, 170), (40, 171, 170)):
+            scores, maxima = kernel.score_chunk(values, weights, lo, hi, tail)
+            expected = weights @ values[lo:hi].T
+            assert scores.shape == expected.shape
+            np.testing.assert_allclose(scores, expected, rtol=1e-5)
+            np.testing.assert_allclose(
+                maxima, expected[:, tail - lo:].max(axis=1), rtol=1e-5
+            )
 
     def test_status_reports_all_three_signals(self):
         with mock.patch.dict(os.environ, {native.NATIVE_ENV: ""}):
