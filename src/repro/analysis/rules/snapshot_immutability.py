@@ -9,12 +9,12 @@ writes at runtime — but attribute rebinding and ``setflags(write=True)``
 would silently reopen the door.  This rule closes it statically.
 
 Detection: within a module, any name bound from ``graph.compile()``,
-``snapshot.detach()``, ``CompiledDG(...)``, ``CompiledDG.from_graph(...)``
-or a ``.compiled`` attribute is treated as a snapshot handle; attribute
-assignment, in-place array stores, and ``setflags(write=True)`` through
-such a handle are findings.  ``CompiledDG``'s own methods (in
-``core/compiled.py``) are exempt — construction and ``detach`` must
-write the attributes they define.
+``snapshot.detach()``, ``CompiledDG(...)``, ``CompiledDG.from_graph(...)``,
+``CompiledDG.from_arrays(...)`` or a ``.compiled`` attribute is treated
+as a snapshot handle; attribute assignment, in-place array stores, and
+``setflags(write=True)`` through such a handle are findings.
+``CompiledDG``'s own methods (in ``core/compiled.py``) are exempt —
+construction and ``detach`` must write the attributes they define.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Iterator
 from repro.analysis.engine import Finding, ModuleContext, Rule
 
 #: Calls whose result is a compiled snapshot.
-_BINDING_METHODS = {"compile", "detach", "from_graph"}
+_BINDING_METHODS = {"compile", "detach", "from_arrays", "from_graph"}
 _BINDING_NAMES = {"CompiledDG"}
 _BINDING_ATTRS = {"compiled"}
 

@@ -13,9 +13,9 @@ The subpackage layout follows the paper's structure:
 - :mod:`repro.core.cost` — the cost model (Theorems 3.1 and 3.2).
 - :mod:`repro.core.pseudo` — pseudo records / Extended DG (Section IV-A).
 - :mod:`repro.core.advanced` — Advanced Traveler (Algorithm 2).
-- :mod:`repro.core.compiled` — compiled flat-array engine (CSR adjacency,
-  heap CL, in-degree unlock, batch scoring); bit-identical to the
-  reference Travelers.
+- :mod:`repro.core.compiled` — compiled flat-array engine (records in
+  layer order, one layer-sweep batch kernel, no edges); bit-identical
+  to the reference Travelers.
 - :mod:`repro.core.nway` — N-Way Traveler (Algorithm 3, Section IV-C).
 - :mod:`repro.core.maintenance` — insertion/deletion (Section V).
 """

@@ -100,7 +100,7 @@ structure that no longer exists.  Recompile after maintenance batches.
 from __future__ import annotations
 
 import os
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from typing import Tuple
 
 import numpy as np
@@ -131,13 +131,25 @@ FAST_LANE_ENV = "REPRO_FAST_LANE"
 _CHUNK_MIN_ROWS = 1024
 
 
+#: The arrays that make up a frozen snapshot, in layout order.  This is
+#: the one declaration: the shared-memory segment layout
+#: (:mod:`repro.parallel.shm`) and the section list of ``kind="compiled"``
+#: store files (:mod:`repro.store`) are this tuple, not copies of it.
+SNAPSHOT_FIELDS = ("values", "record_ids", "layer_index", "pseudo_mask")
+
+
 class CompiledDG:
     """Immutable flat-array snapshot of a :class:`DominantGraph`.
 
     Records are re-numbered into *dense* indices ``0..N-1`` sorted by
-    ``(layer, record_id)``, so the first layer occupies a prefix and every
-    CSR row lists children/parents in ascending record-id order.  All
-    query results are reported in original record ids.
+    ``(layer, record_id)``, so each layer is one contiguous block and the
+    first layer occupies a prefix.  The snapshot is exactly the
+    :data:`SNAPSHOT_FIELDS` arrays — what the layer-sweep kernel reads.
+    The parent/child edges are *not* part of it: they stay in the mutable
+    :class:`DominantGraph`, where maintenance, ``verify_graph`` and the
+    reference Travelers use them (``docs/performance.md`` records the
+    measurement behind that).  All query results are reported in original
+    record ids.
 
     Build with :meth:`from_graph` (or ``graph.compile()``); query with
     :meth:`top_k` (single query) or :func:`batch_top_k` (many queries,
@@ -153,11 +165,6 @@ class CompiledDG:
         record_ids: np.ndarray,
         layer_index: np.ndarray,
         pseudo_mask: np.ndarray,
-        children_indptr: np.ndarray,
-        children_indices: np.ndarray,
-        parents_indptr: np.ndarray,
-        parents_indices: np.ndarray,
-        indegree: np.ndarray,
         first_layer_size: int,
         source: DominantGraph | None = None,
         source_version: int = 0,
@@ -166,71 +173,56 @@ class CompiledDG:
         self.record_ids = record_ids
         self.layer_index = layer_index
         self.pseudo_mask = pseudo_mask
-        self.children_indptr = children_indptr
-        self.children_indices = children_indices
-        self.parents_indptr = parents_indptr
-        self.parents_indices = parents_indices
-        self.indegree = indegree
         self.first_layer_size = int(first_layer_size)
         self._source = source
-        self._source_version = source_version
+        self._source_version = int(source_version)
         # Lazy per-process query-kernel caches; never pickled or shared.
         self._layer_bounds_cache: np.ndarray | None = None
         self._values_f32_cache: np.ndarray | None = None
         self._abs_max_cache: float | None = None
         self._pseudo_layout_cache: "tuple[np.ndarray, np.ndarray] | None" = None
-        for array in (
-            values, record_ids, layer_index, pseudo_mask, children_indptr,
-            children_indices, parents_indptr, parents_indices, indegree,
-        ):
-            array.setflags(write=False)
+        for name in SNAPSHOT_FIELDS:
+            getattr(self, name).setflags(write=False)
+
+    @classmethod
+    def from_arrays(
+        cls,
+        arrays: Mapping[str, np.ndarray],
+        *,
+        first_layer_size: int,
+        source: DominantGraph | None = None,
+        source_version: int = 0,
+    ) -> "CompiledDG":
+        """Adopt already-laid-out :data:`SNAPSHOT_FIELDS` arrays, no copies.
+
+        The one place a snapshot is constructed: :meth:`from_graph` and
+        both transports (a mapped segment, a mapped store file) hand
+        their arrays here.  Entries under other names are ignored, which
+        is what lets store files written with extra sections still open.
+        """
+        return cls(
+            **{name: arrays[name] for name in SNAPSHOT_FIELDS},
+            first_layer_size=first_layer_size,
+            source=source,
+            source_version=source_version,
+        )
 
     @classmethod
     def from_graph(cls, graph: DominantGraph) -> "CompiledDG":
         """Snapshot a (possibly Extended) Dominant Graph into flat arrays."""
-        order = sorted(
-            ((graph.layer_of(rid), rid) for rid in graph.iter_records())
-        )
-        ids = [rid for _, rid in order]
-        n = len(ids)
-        dims = graph.dataset.dims
-        dense_of = {rid: i for i, rid in enumerate(ids)}
-
-        values = np.empty((n, dims), dtype=np.float64)
-        pseudo_mask = np.zeros(n, dtype=bool)
-        layer_index = np.empty(n, dtype=np.int32)
-        for i, (layer, rid) in enumerate(order):
-            values[i] = graph.vector(rid)
-            pseudo_mask[i] = graph.is_pseudo(rid)
-            layer_index[i] = layer
-
-        children_indptr = np.zeros(n + 1, dtype=np.int32)
-        parents_indptr = np.zeros(n + 1, dtype=np.int32)
-        children_chunks: "list[int]" = []
-        parents_chunks: "list[int]" = []
-        for i, rid in enumerate(ids):
-            kids = sorted(dense_of[c] for c in graph.children_of(rid))
-            folks = sorted(dense_of[p] for p in graph.parents_of(rid))
-            children_chunks.extend(kids)
-            parents_chunks.extend(folks)
-            children_indptr[i + 1] = len(children_chunks)
-            parents_indptr[i + 1] = len(parents_chunks)
-        children_indices = np.asarray(children_chunks, dtype=np.int32)
-        parents_indices = np.asarray(parents_chunks, dtype=np.int32)
-        indegree = np.diff(parents_indptr).astype(np.int32)
-
-        first = int(np.searchsorted(layer_index, 0, side="right")) if n else 0
-        return cls(
-            values=values,
-            record_ids=np.asarray(ids, dtype=np.int64),
-            layer_index=layer_index,
-            pseudo_mask=pseudo_mask,
-            children_indptr=children_indptr,
-            children_indices=children_indices,
-            parents_indptr=parents_indptr,
-            parents_indices=parents_indices,
-            indegree=indegree,
-            first_layer_size=first,
+        ids, layers = graph.indexed_arrays()
+        order = np.lexsort((ids, layers))
+        ids = ids[order]
+        layers = layers[order]
+        values, pseudo_mask = graph.rows_for(ids)
+        return cls.from_arrays(
+            {
+                "values": values,
+                "record_ids": ids.astype(np.int64, copy=False),
+                "layer_index": layers.astype(np.int32),
+                "pseudo_mask": pseudo_mask,
+            },
+            first_layer_size=int(np.searchsorted(layers, 0, side="right")),
             source=graph,
             source_version=graph.version,
         )
@@ -246,9 +238,13 @@ class CompiledDG:
         return int(self._pseudo_layout()[1][-1])
 
     @property
-    def num_edges(self) -> int:
-        """Total parent -> child edges in the snapshot."""
-        return int(self.children_indices.shape[0])
+    def source_version(self) -> int:
+        """The source graph's ``version`` when this snapshot was compiled.
+
+        Stamped into published store files so a reader can tell a
+        stale-but-intact file from the current one.
+        """
+        return self._source_version
 
     @property
     def stale(self) -> bool:
@@ -376,8 +372,8 @@ class CompiledDG:
     def __repr__(self) -> str:
         return (
             f"CompiledDG(records={self.num_records}, "
-            f"pseudo={self.num_pseudo}, edges={self.num_edges}, "
-            f"stale={self.stale})"
+            f"pseudo={self.num_pseudo}, "
+            f"layers={len(self.layer_bounds()) - 1}, stale={self.stale})"
         )
 
 

@@ -133,6 +133,28 @@ class DominantGraph:
         """True for pseudo records (Extended DG artificial parents)."""
         return record_id in self._pseudo_vectors
 
+    def rows_for(self, ids: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+        """Value matrix and pseudo mask aligned row-for-row with ``ids``.
+
+        The bulk form of :meth:`vector` / :meth:`is_pseudo`: real rows
+        come out of one vectorized dataset gather and only the (few)
+        pseudo vectors are fetched individually, so maintenance and
+        :meth:`compile` snapshot ``n`` records with O(n) numpy work
+        rather than O(n) Python-level calls.
+        """
+        values = np.empty((ids.shape[0], self._dataset.dims), dtype=np.float64)
+        pseudo = self.pseudo_ids()
+        if pseudo:
+            pseudo_mask = np.isin(ids, np.asarray(pseudo, dtype=np.intp))
+        else:
+            pseudo_mask = np.zeros(ids.shape[0], dtype=bool)
+        real_pos = np.flatnonzero(~pseudo_mask)
+        if real_pos.size:
+            values[real_pos] = self._dataset.take(ids[real_pos])
+        for pos in np.flatnonzero(pseudo_mask):
+            values[pos] = self._pseudo_vectors[int(ids[pos])]
+        return values, pseudo_mask
+
     def vector(self, record_id: int) -> np.ndarray:
         """Attribute vector of a record (real from the dataset, pseudo local)."""
         pseudo = self._pseudo_vectors.get(record_id)
@@ -449,8 +471,10 @@ class DominantGraph:
     def compile(self) -> "CompiledDG":
         """Freeze this graph into a flat-array query snapshot.
 
-        Returns a :class:`~repro.core.compiled.CompiledDG`: contiguous
-        value matrix, CSR adjacency, per-record in-degrees.  The snapshot
+        Returns a :class:`~repro.core.compiled.CompiledDG`: the records
+        in ``(layer, id)`` order as a contiguous value matrix with their
+        ids, layer indices and pseudo flags.  The edges stay here — the
+        compiled kernel sweeps layers and never walks them.  The snapshot
         is immutable and tied to the current :attr:`version`; any further
         mutation of this graph (maintenance inserts/deletes, edge edits)
         makes the snapshot stale, and its query kernels refuse to run

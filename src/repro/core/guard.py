@@ -21,7 +21,7 @@ tiers, each strictly simpler (and slower) than the one before::
        |       (recompiled automatically when the snapshot is stale)
        v
     reference  AdvancedTraveler over the mutable DominantGraph
-       |       (no snapshot, no CSR arrays — just the paper's Algorithm 2)
+       |       (no snapshot, no flat arrays — just the paper's Algorithm 2)
        v
     naive      full scan of the indexed real records
                (no graph structure consulted at all)

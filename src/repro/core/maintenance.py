@@ -55,40 +55,19 @@ from repro.errors import InvariantViolation
 # ----------------------------------------------------------------------
 # Shared helpers
 # ----------------------------------------------------------------------
-def _vectors_for(graph: DominantGraph, ids: np.ndarray) -> np.ndarray:
-    """Value matrix aligned row-for-row with ``ids``.
-
-    Real rows come out of one vectorized dataset gather; only the (few)
-    pseudo vectors are fetched individually, so the fetch costs O(n)
-    numpy work rather than O(n) Python-level calls.
-    """
-    values = np.empty((ids.shape[0], graph.dataset.dims), dtype=np.float64)
-    pseudo = graph.pseudo_ids()
-    if pseudo:
-        pseudo_mask = np.isin(ids, np.asarray(pseudo, dtype=np.intp))
-    else:
-        pseudo_mask = np.zeros(ids.shape[0], dtype=bool)
-    real_pos = np.flatnonzero(~pseudo_mask)
-    if real_pos.size:
-        values[real_pos] = graph.dataset.take(ids[real_pos])
-    for pos in np.flatnonzero(pseudo_mask):
-        values[pos] = graph.vector(int(ids[pos]))
-    return values
-
-
 def _indexed_snapshot(graph: DominantGraph) -> tuple:
     """Ids, layer indices, and value matrix of everything currently indexed.
 
     All three arrays are parallel; order is the graph's placement order.
     """
     ids, layers = graph.indexed_arrays()
-    return ids, layers, _vectors_for(graph, ids)
+    return ids, layers, graph.rows_for(ids)[0]
 
 
 def _layer_block(graph: DominantGraph, index: int) -> tuple:
     """Sorted id array and aligned vectors of one layer (vectorized fetch)."""
     ids = graph.layer_array(index)
-    return ids, _vectors_for(graph, ids)
+    return ids, graph.rows_for(ids)[0]
 
 
 def _rebuild_edges(graph: DominantGraph, record_ids) -> None:

@@ -43,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.compiled import CompiledDG
+from repro.core.compiled import SNAPSHOT_FIELDS, CompiledDG
 
 #: Every segment this module creates is named ``repro-dg-<pid>-<nonce>``.
 SEGMENT_PREFIX = "repro-dg-"
@@ -51,18 +51,9 @@ SEGMENT_PREFIX = "repro-dg-"
 #: Array starts are rounded up to this many bytes inside the segment.
 ALIGNMENT = 64
 
-#: CompiledDG array attributes serialized into the segment, in layout order.
-ARRAY_FIELDS = (
-    "values",
-    "record_ids",
-    "layer_index",
-    "pseudo_mask",
-    "children_indptr",
-    "children_indices",
-    "parents_indptr",
-    "parents_indices",
-    "indegree",
-)
+#: CompiledDG array attributes serialized into the segment, in layout
+#: order — the snapshot's own field list, not a copy of it.
+ARRAY_FIELDS = SNAPSHOT_FIELDS
 
 
 @dataclass(frozen=True)
@@ -320,17 +311,8 @@ def attach_snapshot(handle: SnapshotHandle) -> AttachedSnapshot:
     """
     shm = _attach_untracked(handle.segment)
     arrays = {spec.field: _view(shm.buf, spec) for spec in handle.arrays}
-    compiled = CompiledDG(
-        values=arrays["values"],
-        record_ids=arrays["record_ids"],
-        layer_index=arrays["layer_index"],
-        pseudo_mask=arrays["pseudo_mask"],
-        children_indptr=arrays["children_indptr"],
-        children_indices=arrays["children_indices"],
-        parents_indptr=arrays["parents_indptr"],
-        parents_indices=arrays["parents_indices"],
-        indegree=arrays["indegree"],
-        first_layer_size=handle.first_layer_size,
+    compiled = CompiledDG.from_arrays(
+        arrays, first_layer_size=handle.first_layer_size
     )
     return AttachedSnapshot(shm, compiled, handle.epoch)
 

@@ -516,9 +516,7 @@ class ServingIndex:
         self._draining = False
         self._closed = False
         self._poisoned: Exception | None = None
-        self._snapshot = ServingSnapshot(
-            compiled=graph.compile().detach(), epoch=0, seq=wal.last_seq
-        )
+        self._snapshot = self._compile_base_locked(epoch=0)
         if self._overlay_limit > 0:
             self._overlay_builder = OverlayBuilder(self._snapshot.compiled)
         # Recovery is an implicit compaction: the WAL was replayed into
@@ -1182,11 +1180,7 @@ class ServingIndex:
         health report's compaction ledger.
         """
         started = time.monotonic()
-        snap = ServingSnapshot(
-            compiled=self._graph.compile().detach(),
-            epoch=self._epoch,
-            seq=self._wal.last_seq,
-        )
+        snap = self._compile_base_locked(epoch=self._epoch)
         self._snapshot = snap  # atomic reference swap: the RCU publish
         if self._overlay_limit > 0:
             self._overlay_builder = OverlayBuilder(snap.compiled)
@@ -1205,6 +1199,22 @@ class ServingIndex:
             self._compaction_stats["last_ms"] = elapsed_ms
             self._compaction_stats["total_ms"] += elapsed_ms
         return snap
+
+    def _compile_base_locked(self, *, epoch: int) -> ServingSnapshot:
+        """Compile the graph into a detached, overlay-free base snapshot.
+
+        Every fold goes through here — open (before the index is
+        shared), full-recompile publish and compaction (both under the
+        writer lock) — so this is also where the graph's edge count is
+        captured for :meth:`health`, which must not walk a graph the
+        writer may be mutating.
+        """
+        self._edges_at_fold = self._graph.edge_count()
+        return ServingSnapshot(
+            compiled=self._graph.compile().detach(),
+            epoch=epoch,
+            seq=self._wal.last_seq,
+        )
 
     def _apply_overlay_op(self, builder: OverlayBuilder, op: dict) -> None:
         """Mirror one WAL operation into the overlay builder.
@@ -1271,11 +1281,8 @@ class ServingIndex:
             if snap.overlay is None or self._overlay_limit <= 0:
                 return False
             started = time.monotonic()
-            folded = ServingSnapshot(
-                compiled=self._graph.compile().detach(),
-                epoch=snap.epoch,  # content-identical: no epoch consumed
-                seq=self._wal.last_seq,
-            )
+            # Content-identical to base+overlay: no epoch is consumed.
+            folded = self._compile_base_locked(epoch=snap.epoch)
             self._snapshot = folded
             self._overlay_builder = OverlayBuilder(folded.compiled)
             self._base_generation += 1
@@ -1471,6 +1478,10 @@ class ServingIndex:
 
         ``status`` is ``"ok"``, ``"degraded"`` (poisoned writer — reads
         still answer from the last good snapshot), or ``"closed"``.
+        ``records`` is overlay-adjusted (current as of the last
+        publish); ``edges`` is the Dominant Graph's edge count *as of
+        the last fold* — the graph keeps changing under a live overlay,
+        and only the writer may walk it.
         """
         snap = self._snapshot
         wal_path = os.path.join(self._directory, WAL_NAME)
@@ -1502,7 +1513,7 @@ class ServingIndex:
             "applied_seq": snap.seq,
             "records": records,
             "pseudo": snap.compiled.num_pseudo,
-            "edges": snap.compiled.num_edges,
+            "edges": self._edges_at_fold,
             "wal": {
                 "path": wal_path,
                 "bytes": wal_bytes,

@@ -24,6 +24,7 @@ import os
 
 import numpy as np
 
+from repro.core.compiled import CompiledDG
 from repro.core.io import fsync_directory
 from repro.errors import StoreCorruptionError
 from repro.store.format import StoreInfo, StoreStamp, read_toc, write_store
@@ -184,7 +185,7 @@ class StoreDirectory:
 
     def publish_compiled(
         self,
-        compiled: "object",
+        compiled: CompiledDG,
         *,
         epoch: int = 0,
         applied_seq: int = 0,
@@ -202,7 +203,7 @@ class StoreDirectory:
             arrays,
             StoreStamp(
                 kind="compiled",
-                source_version=int(getattr(compiled, "source_version", 0)),
+                source_version=compiled.source_version,
                 applied_seq=int(applied_seq),
                 first_layer_size=int(compiled.first_layer_size),
             ),

@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.compiled import CompiledDG
+from repro.core.compiled import SNAPSHOT_FIELDS, CompiledDG
 from repro.errors import StoreCorruptionError, StoreStaleError
 from repro.store.format import (
     SectionSpec,
@@ -43,19 +43,9 @@ from repro.store.format import (
 )
 
 #: Section vocabulary of ``kind="compiled"`` files, in layout order —
-#: deliberately identical to :data:`repro.parallel.shm.ARRAY_FIELDS` so
-#: the two transports describe the same snapshot the same way.
-COMPILED_SECTIONS = (
-    "values",
-    "record_ids",
-    "layer_index",
-    "pseudo_mask",
-    "children_indptr",
-    "children_indices",
-    "parents_indptr",
-    "parents_indices",
-    "indegree",
-)
+#: the snapshot's own field list, the same object the shared-memory
+#: transport lays out (:data:`repro.parallel.shm.ARRAY_FIELDS`).
+COMPILED_SECTIONS = SNAPSHOT_FIELDS
 
 
 def _view(buffer: mmap.mmap, spec: SectionSpec) -> np.ndarray:
@@ -176,17 +166,8 @@ class MappedStore:
                 path=self.path,
                 section=missing[0],
             )
-        arrays = {name: self.section(name) for name in COMPILED_SECTIONS}
-        return CompiledDG(
-            values=arrays["values"],
-            record_ids=arrays["record_ids"],
-            layer_index=arrays["layer_index"],
-            pseudo_mask=arrays["pseudo_mask"],
-            children_indptr=arrays["children_indptr"],
-            children_indices=arrays["children_indices"],
-            parents_indptr=arrays["parents_indptr"],
-            parents_indices=arrays["parents_indices"],
-            indegree=arrays["indegree"],
+        return CompiledDG.from_arrays(
+            self.sections(),
             first_layer_size=stamp.first_layer_size,
             source_version=stamp.source_version,
         )

@@ -27,12 +27,15 @@ scans these small fixtures in one chunk, and under
 layer edge is a retirement point for the last-layer bound.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.core.advanced import AdvancedTraveler
 from repro.core.builder import build_dominant_graph, build_extended_graph
 from repro.core.compiled import (
+    SNAPSHOT_FIELDS,
     CompiledAdvancedTraveler,
     CompiledBasicTraveler,
     CompiledDG,
@@ -43,9 +46,11 @@ from repro.core.functions import (
     MinFunction,
     WeightedPowerFunction,
 )
-from repro.core.maintenance import insert_record
+from repro.core.maintenance import delete_record, insert_record, mark_deleted
 from repro.core.traveler import BasicTraveler
 from repro.data.generators import anticorrelated, correlated, uniform
+from repro.parallel import attach_snapshot, export_snapshot
+from repro.store import StoreDirectory, attach_store, read_toc
 from tests.conftest import layer_chunks
 
 N = 250
@@ -167,35 +172,107 @@ def test_k_larger_than_dataset_returns_everything():
     assert len(result) == 40
 
 
-def test_compiled_snapshot_structure():
+def mutated_extended_graph():
+    """An Extended DG that maintenance has inserted into, deleted from
+    and marked.
+
+    ``from_graph`` sorts ``DominantGraph.indexed_arrays()``, whose order
+    is placement order: here records have moved between layers without
+    moving in that order, late ids sit in early layers, and pseudo rows
+    carry both fresh ids (pseudo levels) and dataset ids (marked rows).
+    """
     dataset = uniform(N, DIMS, seed=2)
-    graph = build_extended_graph(dataset, theta=6)
+    graph = build_extended_graph(dataset, theta=6, record_ids=range(N - 40))
+    rng = np.random.default_rng(12)
+    for rid in range(N - 40, N):
+        insert_record(graph, rid)
+    for rid in rng.choice(N - 40, size=25, replace=False).tolist():
+        delete_record(graph, rid)
+    for rid in rng.choice(np.arange(N - 40, N), size=6, replace=False).tolist():
+        mark_deleted(graph, rid)
+    assert graph.num_pseudo > 6  # pseudo levels and marked rows both present
+    return graph
+
+
+def reference_arrays(graph) -> dict:
+    """The snapshot arrays by per-record calls — the loop ``from_graph``
+    used to run, kept as the reference for its vectorised gather."""
+    order = sorted((graph.layer_of(rid), rid) for rid in graph.iter_records())
+    return {
+        "values": np.array([graph.vector(rid) for _, rid in order]),
+        "record_ids": np.array([rid for _, rid in order], dtype=np.int64),
+        "layer_index": np.array([layer for layer, _ in order], dtype=np.int32),
+        "pseudo_mask": np.array([graph.is_pseudo(rid) for _, rid in order]),
+    }
+
+
+def assert_snapshot_arrays(snapshot, expected: dict) -> None:
+    """``snapshot`` holds exactly the declared arrays, equal and frozen."""
+    held = {
+        name
+        for name, value in vars(snapshot).items()
+        if isinstance(value, np.ndarray) and not name.startswith("_")
+    }
+    assert held == set(SNAPSHOT_FIELDS) == set(expected)
+    for name in SNAPSHOT_FIELDS:
+        array = getattr(snapshot, name)
+        assert array.dtype == expected[name].dtype, name
+        assert array.shape == expected[name].shape, name
+        np.testing.assert_array_equal(array, expected[name])
+        assert not array.flags.writeable, name
+
+
+def test_compiled_snapshot_structure():
+    graph = mutated_extended_graph()
     snapshot = graph.compile()
     assert isinstance(snapshot, CompiledDG)
     assert snapshot.num_records == len(graph)
     assert snapshot.num_pseudo == graph.num_pseudo
-    assert snapshot.num_edges == graph.edge_count()
     assert snapshot.first_layer_size == len(graph.layer(0))
-    # CSR indptr invariants and parent/child symmetry.
-    assert snapshot.children_indptr[0] == 0
-    assert snapshot.children_indptr[-1] == snapshot.num_edges
-    assert snapshot.parents_indptr[-1] == snapshot.num_edges
-    np.testing.assert_array_equal(
-        snapshot.indegree, np.diff(snapshot.parents_indptr)
-    )
-    # Per-record layer index mirrors the graph.
-    for dense, rid in enumerate(snapshot.record_ids.tolist()):
-        assert snapshot.layer_index[dense] == graph.layer_of(rid)
-        assert snapshot.pseudo_mask[dense] == graph.is_pseudo(rid)
+    assert snapshot.source_version == graph.version
+    assert_snapshot_arrays(snapshot, reference_arrays(graph))
+    bounds = snapshot.layer_bounds()
+    assert np.diff(bounds).tolist() == graph.layer_sizes()
 
 
 def test_compiled_arrays_are_frozen():
-    dataset = uniform(60, DIMS, seed=3)
-    snapshot = build_dominant_graph(dataset).compile()
-    with pytest.raises((ValueError, RuntimeError)):
-        snapshot.values[0, 0] = 1.0
-    with pytest.raises((ValueError, RuntimeError)):
-        snapshot.children_indices[:1] = 0
+    snapshot = mutated_extended_graph().compile()
+    for name in SNAPSHOT_FIELDS:
+        array = getattr(snapshot, name)
+        with pytest.raises((ValueError, RuntimeError)):
+            array[:1] = array[:1]
+
+
+@pytest.mark.parametrize("transport", ["shm", "spool"])
+def test_transport_round_trip_keeps_exactly_the_declared_arrays(
+    transport, tmp_path
+):
+    """Both transports lay out ``SNAPSHOT_FIELDS`` and nothing else, and
+    the attached snapshot answers like the one that was published."""
+    snapshot = mutated_extended_graph().compile()
+    with contextlib.ExitStack() as stack:
+        if transport == "shm":
+            shared = stack.enter_context(export_snapshot(snapshot, epoch=3))
+            assert [spec.field for spec in shared.handle.arrays] == list(
+                SNAPSHOT_FIELDS
+            )
+            attached = stack.enter_context(attach_snapshot(shared.handle))
+        else:
+            handle = StoreDirectory(str(tmp_path)).publish_compiled(
+                snapshot, epoch=3, durable=False
+            )
+            assert read_toc(handle.path).section_names == SNAPSHOT_FIELDS
+            attached = stack.enter_context(attach_store(handle))
+        assert attached.epoch == 3
+        assert attached.compiled.first_layer_size == snapshot.first_layer_size
+        assert_snapshot_arrays(
+            attached.compiled,
+            {name: getattr(snapshot, name) for name in SNAPSHOT_FIELDS},
+        )
+        for function in make_functions(5):
+            assert attached.compiled.top_k(function, 10) == snapshot.top_k(
+                function, 10
+            )
 
 
 def test_mutation_makes_snapshot_stale():

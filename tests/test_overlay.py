@@ -263,6 +263,7 @@ class TestServingOverlay:
         directory, graph, _dataset = serving_dir
         with ServingIndex.create(directory, graph, fsync="never") as index:
             base = index.snapshot().compiled
+            edges_at_fold = graph.edge_count()
             index.insert(30)
             index.delete(3)
             snap = index.snapshot()
@@ -274,6 +275,9 @@ class TestServingOverlay:
             assert health["overlay"]["delta_publishes"] == 2
             assert health["overlay"]["compactions"]["count"] == 0
             assert health["records"] == 30  # 30 base + 1 delta - 1 deleted
+            # Unlike ``records``, ``edges`` is as of the last fold: the
+            # live graph has moved on and only the writer may walk it.
+            assert health["edges"] == edges_at_fold
 
     def test_queries_see_the_overlay_immediately(self, serving_dir):
         directory, graph, dataset = serving_dir
@@ -305,6 +309,7 @@ class TestServingOverlay:
             health = index.health()
             assert health["overlay"]["compactions"]["count"] == 1
             assert health["overlay"]["base_generation"] == 1
+            assert health["edges"] == graph.edge_count()  # refreshed by the fold
             assert index.compact() is False  # nothing left to fold
 
     def test_overlay_overflow_forces_a_fold(self, serving_dir):

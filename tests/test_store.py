@@ -63,6 +63,17 @@ def arrays(compiled) -> dict:
     return {name: getattr(compiled, name) for name in COMPILED_SECTIONS}
 
 
+#: Sections ``kind="compiled"`` files also carried while the snapshot
+#: still held the graph's edges.
+LEGACY_EDGE_SECTIONS = (
+    "children_indptr",
+    "children_indices",
+    "parents_indptr",
+    "parents_indices",
+    "indegree",
+)
+
+
 def compiled_stamp(compiled, **overrides) -> StoreStamp:
     fields = dict(
         kind="compiled", first_layer_size=compiled.first_layer_size
@@ -78,21 +89,28 @@ class TestFormat:
     def test_round_trip_is_bit_identical_and_read_only(
         self, tmp_path, compiled, arrays
     ):
-        path = str(tmp_path / "index.dgs")
-        write_store(path, arrays, compiled_stamp(compiled, generation=4))
-        with open_store(path, deep=True) as store:
-            assert store.info.stamp.generation == 4
-            assert store.info.stamp.kind == "compiled"
-            for name, original in arrays.items():
-                view = store.section(name)
-                assert view.dtype == original.dtype
-                assert view.shape == original.shape
-                np.testing.assert_array_equal(view, original)
-                assert not view.flags.writeable
-            rebuilt = store.compiled()
-            assert rebuilt.first_layer_size == compiled.first_layer_size
-            function = LinearFunction([0.5, 0.3, 0.2])
-            assert rebuilt.top_k(function, 5) == compiled.top_k(function, 5)
+        # Second input: the layout written before the edge arrays left
+        # the snapshot.  Such files still open; the extras are ignored.
+        extra = np.arange(compiled.num_records + 1, dtype=np.int32)
+        with_edges = {**arrays, **dict.fromkeys(LEGACY_EDGE_SECTIONS, extra)}
+        for sections in (arrays, with_edges):
+            path = str(tmp_path / f"index-{len(sections)}.dgs")
+            write_store(path, sections, compiled_stamp(compiled, generation=4))
+            with open_store(path, deep=True) as store:
+                assert store.info.stamp.generation == 4
+                assert store.info.stamp.kind == "compiled"
+                for name, original in sections.items():
+                    view = store.section(name)
+                    assert view.dtype == original.dtype
+                    assert view.shape == original.shape
+                    np.testing.assert_array_equal(view, original)
+                    assert not view.flags.writeable
+                rebuilt = store.compiled()
+                assert rebuilt.first_layer_size == compiled.first_layer_size
+                for name in LEGACY_EDGE_SECTIONS:
+                    assert not hasattr(rebuilt, name)
+                function = LinearFunction([0.5, 0.3, 0.2])
+                assert rebuilt.top_k(function, 5) == compiled.top_k(function, 5)
 
     def test_sections_are_aligned(self, tmp_path, compiled, arrays):
         path = str(tmp_path / "index.dgs")
@@ -198,6 +216,27 @@ class TestStaleness:
         assert excinfo.value.found == 3
         open_store(path).close()  # without expectations the file is fine
 
+    def test_published_snapshot_is_stamped_with_the_graph_version(
+        self, tmp_path, graph
+    ):
+        compiled = graph.compile()
+        assert graph.version > 0
+        handle = StoreDirectory(str(tmp_path / "spool")).publish_compiled(
+            compiled
+        )
+        with open_store(handle.path) as store:
+            assert store.stamp.source_version == graph.version
+            assert store.compiled().source_version == graph.version
+        with pytest.raises(StoreStaleError) as excinfo:
+            open_store(
+                handle.path,
+                expect=StoreStamp(
+                    kind="compiled", source_version=graph.version + 1
+                ),
+            )
+        assert excinfo.value.field == "source_version"
+        assert excinfo.value.found == graph.version
+
     def test_kind_mismatch_is_stale(self, tmp_path, compiled, arrays):
         path = str(tmp_path / "index.dgs")
         write_store(path, arrays, compiled_stamp(compiled))
@@ -297,7 +336,7 @@ class TestDirectory:
         spool = StoreDirectory(str(tmp_path / "spool"))
         path, _ = spool.publish(arrays, compiled_stamp(compiled))
         pristine = open(path, "rb").read()
-        for name in ("values", "record_ids", "children_indptr"):
+        for name in ("values", "record_ids", "layer_index"):
             spec = read_toc(path).spec(name)
             if spec.nbytes == 0:
                 continue
