@@ -151,11 +151,19 @@ def payload_from_graph(graph: DominantGraph) -> dict:
     """
     record_ids = list(graph.iter_records())
     layer_of = [graph.layer_of(rid) for rid in record_ids]
-    edges = [
-        (parent, child)
-        for parent in record_ids
-        for child in sorted(graph.children_of(parent))
-    ]
+    # Two flat id lists, not one list of (parent, child) tuples: a tuple
+    # per edge is thousands of live containers, enough to start dozens
+    # of garbage collections inside every checkpoint — and whenever one
+    # of them is a full collection, that checkpoint takes twice as long.
+    edge_parents: list = []
+    edge_children: list = []
+    for parent in record_ids:
+        children = sorted(graph.children_of(parent))
+        edge_parents.extend([parent] * len(children))
+        edge_children.extend(children)
+    edges = np.empty((len(edge_parents), 2), dtype=np.intp)
+    edges[:, 0] = edge_parents
+    edges[:, 1] = edge_children
     pseudo_ids = [rid for rid in record_ids if graph.is_pseudo(rid)]
     pseudo_vectors = (
         np.vstack([graph.vector(rid) for rid in pseudo_ids])
@@ -167,7 +175,7 @@ def payload_from_graph(graph: DominantGraph) -> dict:
         "attribute_names": np.asarray(graph.dataset.attribute_names, dtype=str),
         "record_ids": np.asarray(record_ids, dtype=np.intp),
         "layer_of": np.asarray(layer_of, dtype=np.intp),
-        "edges": np.asarray(edges, dtype=np.intp).reshape(-1, 2),
+        "edges": edges,
         "pseudo_ids": np.asarray(pseudo_ids, dtype=np.intp),
         "pseudo_vectors": np.asarray(pseudo_vectors, dtype=np.float64),
     }

@@ -1,12 +1,15 @@
 """Unit tests for index persistence (repro.core.io)."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from repro.core.advanced import AdvancedTraveler
 from repro.core.builder import build_dominant_graph, build_extended_graph
 from repro.core.functions import LinearFunction
-from repro.core.io import load_graph, save_graph
+from repro.core.graph import DominantGraph
+from repro.core.io import load_graph, payload_from_graph, save_graph
 from repro.core.maintenance import delete_record, insert_record
 from repro.data.generators import all_skyline, uniform
 
@@ -87,6 +90,42 @@ class TestRoundTrip:
         graph = build_dominant_graph(dataset)
         loaded = load_graph(save_graph(graph, str(tmp_path / "n.npz")))
         assert loaded.dataset.attribute_names == dataset.attribute_names
+
+
+class TestPayload:
+    def test_edges_are_sorted_parent_child_rows(self):
+        graph = build_extended_graph(all_skyline(120, 3, seed=4), theta=8)
+        edges = payload_from_graph(graph)["edges"]
+        assert edges.dtype == np.intp and edges.flags.c_contiguous
+        assert edges.tolist() == [
+            [parent, child]
+            for parent in graph.iter_records()
+            for child in sorted(graph.children_of(parent))
+        ]
+
+    def test_empty_graph_has_an_empty_edge_table(self):
+        graph = DominantGraph(uniform(10, 2, seed=1))
+        assert payload_from_graph(graph)["edges"].shape == (0, 2)
+
+    def test_serializing_starts_no_garbage_collection(self):
+        # A checkpoint must not hold a container per edge: thousands of
+        # live tuples start a collection every 700, and the occasional
+        # full one doubles that checkpoint's latency.
+        graph = build_dominant_graph(uniform(3000, 3, seed=6))
+        assert graph.edge_count() > 5000
+        collections = []
+
+        def count(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            payload_from_graph(graph)
+        finally:
+            gc.callbacks.remove(count)
+        assert len(collections) <= 1
 
 
 class TestRegisterPseudo:
