@@ -26,6 +26,11 @@ last processed layer.  The bound is that layer's maximum, not the
 chunk's: the first chunk contains layer 1 and with it the top-1 answer,
 so a whole-chunk maximum could never retire a query there.
 
+Most reads retire in that first chunk, on a snapshot with nothing to
+mask, so the sweep (:func:`_sweep`) keeps its active-query index and
+answerable mask ``None`` until a query retires or a row is masked: such
+a read costs one score pass and one partition — no gathers, no masks.
+
 Two scoring lanes
 -----------------
 **float64 lane** (always available, any monotone function): scores each
@@ -86,7 +91,9 @@ scanned ids contain it.  Budgets
 (:class:`~repro.core.guard.BudgetedAccessCounter`) ride those charges
 and abort mid-kernel exactly as they aborted mid-traversal.  Use the
 reference Travelers when reproducing the paper's accessed-records
-figures.
+figures.  The ids charged are one read-only copy per chunk, cached on
+the snapshot (:meth:`CompiledDG._chunk_ids`): a retained result pins
+that shared array, not a private copy of it.
 
 Staleness
 ---------
@@ -101,7 +108,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterator, Mapping, Sequence
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -180,7 +187,10 @@ class CompiledDG:
         self._layer_bounds_cache: np.ndarray | None = None
         self._values_f32_cache: np.ndarray | None = None
         self._abs_max_cache: float | None = None
-        self._pseudo_layout_cache: "tuple[np.ndarray, np.ndarray] | None" = None
+        self._pseudo_layout_cache: (
+            "tuple[np.ndarray | None, np.ndarray | None] | None"
+        ) = None
+        self._chunk_ids_cache: "dict[tuple[int, int], np.ndarray]" = {}
         for name in SNAPSHOT_FIELDS:
             getattr(self, name).setflags(write=False)
 
@@ -235,7 +245,8 @@ class CompiledDG:
     @property
     def num_pseudo(self) -> int:
         """How many snapshot records are pseudo records."""
-        return int(self._pseudo_layout()[1][-1])
+        prefix = self._pseudo_layout()[1]
+        return 0 if prefix is None else int(prefix[-1])
 
     @property
     def source_version(self) -> int:
@@ -319,22 +330,45 @@ class CompiledDG:
             )
         return self._abs_max_cache
 
-    def _pseudo_layout(self) -> "tuple[np.ndarray, np.ndarray]":
+    def _pseudo_layout(self) -> "tuple[np.ndarray | None, np.ndarray | None]":
         """``(real-row mask, pseudo prefix counts)`` for the kernel (cached).
 
         Everything a query needs to know about pseudo rows that does not
-        depend on the query: ``~pseudo_mask``, and the running pseudo
+        depend on the query: ``~pseudo_mask`` and the running pseudo
         count (length ``num_records + 1``, so a chunk's pseudo tally is
-        one subtraction instead of a sum over the chunk).
+        one subtraction).  ``(None, None)`` when no row is pseudo — the
+        kernel then skips masking altogether.
         """
         if self._pseudo_layout_cache is None:
-            real = ~self.pseudo_mask
-            prefix = np.zeros(self.num_records + 1, dtype=np.int64)
-            np.cumsum(self.pseudo_mask, dtype=np.int64, out=prefix[1:])
-            real.setflags(write=False)
-            prefix.setflags(write=False)
-            self._pseudo_layout_cache = (real, prefix)
+            if self.pseudo_mask.any():
+                real = ~self.pseudo_mask
+                prefix = np.zeros(self.num_records + 1, dtype=np.int64)
+                np.cumsum(self.pseudo_mask, dtype=np.int64, out=prefix[1:])
+                real.setflags(write=False)
+                prefix.setflags(write=False)
+                self._pseudo_layout_cache = (real, prefix)
+            else:
+                self._pseudo_layout_cache = (None, None)
         return self._pseudo_layout_cache
+
+    def _chunk_ids(self, lo: int, hi: int, shared: bool) -> np.ndarray:
+        """An owning copy of ``record_ids[lo:hi]`` for counters to keep.
+
+        A retained result pins the ids its counter was charged; a slice
+        view would pin the snapshot buffer (fatal for shared-memory
+        workers).  With ``shared`` every query gets the same read-only
+        copy, cached per chunk — callers pass it only for the default
+        schedule, whose edges do not depend on ``k`` and whose chunks
+        tile the snapshot, so the cache never outgrows one id array.
+        """
+        if not shared:
+            return self.record_ids[lo:hi].copy()
+        ids = self._chunk_ids_cache.get((lo, hi))
+        if ids is None:
+            ids = self.record_ids[lo:hi].copy()
+            ids.setflags(write=False)
+            self._chunk_ids_cache[lo, hi] = ids
+        return ids
 
     def top_k(
         self,
@@ -554,49 +588,49 @@ def _chunk_answerable(
     exclude: np.ndarray | None,
     lo: int,
     hi: int,
-) -> np.ndarray:
-    """The chunk's answerable mask, evaluating ``where`` once per record.
+) -> np.ndarray | None:
+    """The chunk's answerable mask, or ``None`` when every row answers.
 
     Real rows not masked by ``exclude`` are eligible; ``where`` is then
     evaluated once per eligible record, always on the exact float64
     vector.  Pseudo and excluded rows never reach the predicate: an
     overlay-deleted record must not leak to user code.
     """
-    eligible = compiled._pseudo_layout()[0][lo:hi]
+    eligible = compiled._pseudo_layout()[0]
+    if eligible is not None:
+        eligible = eligible[lo:hi]
     if exclude is not None:
-        eligible = eligible & ~exclude[lo:hi]
+        kept = ~exclude[lo:hi]
+        eligible = kept if eligible is None else eligible & kept
     if where is None:
         return eligible
     values = compiled.values
     block = np.zeros(hi - lo, dtype=bool)
-    for offset in np.flatnonzero(eligible).tolist():
+    offsets = (
+        range(hi - lo) if eligible is None
+        else np.flatnonzero(eligible).tolist()
+    )
+    for offset in offsets:
         block[offset] = bool(where(values[lo + offset]))
     return block
 
 
-def _order_pairs(
-    ids: np.ndarray, scores: np.ndarray, take: int
-) -> "list[tuple[float, int]]":
-    """Rank ``(score, id)`` pairs by the engine's ``(-score, id)`` rule."""
-    order = np.lexsort((ids, -scores))[:take]
-    return [
-        (float(scores[i]), int(ids[i])) for i in order.tolist()
-    ]
-
-
 def _select_exact(
     ids: np.ndarray, scores: np.ndarray, k: int
-) -> "list[tuple[float, int]]":
-    """Exact top-k selection over float64 ``scores`` (ties kept, then ranked)."""
+) -> "tuple[tuple[int, ...], tuple[float, ...]]":
+    """Exact top-k over float64 ``scores``, as ``(ids, scores)`` tuples.
+
+    Ties on the k-th score are all kept, then everything is ranked by
+    the engine's ``(-score, id)`` rule and cut to ``k``.
+    """
     available = int(scores.shape[0])
     take = min(k, available)
-    if take == 0:
-        return []
     if available > take:
         kth_value = np.partition(scores, available - take)[available - take]
         keep = scores >= kth_value
         ids, scores = ids[keep], scores[keep]
-    return _order_pairs(ids, scores, take)
+    order = np.lexsort((ids, -scores))[:take]
+    return tuple(ids[order].tolist()), tuple(scores[order].tolist())
 
 
 def batch_top_k(
@@ -703,7 +737,7 @@ def batch_top_k(
         return []
     if compiled.num_records == 0:
         return [
-            TopKResult.from_pairs([], counters[q], algorithm=algorithm)
+            TopKResult((), (), counters[q], algorithm=algorithm)
             for q in range(num_queries)
         ]
 
@@ -744,8 +778,11 @@ def _f32_lane_applies(compiled: CompiledDG, abs_weights: np.ndarray) -> bool:
 
 #: One swept chunk, kept for the final selection: ``(lo, hi, act_idx,
 #: scores, answerable)`` — the ``(active queries, rows)`` score block, the
-#: queries its rows belong to (ascending), and the mask over its columns.
-_Chunk = Tuple[int, int, np.ndarray, np.ndarray, np.ndarray]
+#: queries its rows belong to (ascending; ``None``: all, in order) and
+#: the mask over its columns (``None``: every row answers).
+_Chunk = Tuple[
+    int, int, Optional[np.ndarray], np.ndarray, Optional[np.ndarray]
+]
 
 
 def _sweep(
@@ -783,6 +820,14 @@ def _sweep(
     margin``.  The float64 lane retires on the strict comparison alone,
     so score ties — which tie-break on ascending id — are still resolved
     exactly.
+
+    Bookkeeping waits for its cause.  ``act_idx`` is ``None`` — every
+    query active, in order — until the first query retires; a chunk's
+    answerable mask is ``None`` unless the snapshot has a pseudo row or
+    the caller passed ``exclude`` or ``where``; and the first ``k``
+    answerable rows are partitioned alone, the running top-k being all
+    ``-inf``.  A read that retires in its first chunk thus costs one
+    score pass and one partition.
     """
     num_queries = len(functions)
     values = compiled.values
@@ -791,7 +836,8 @@ def _sweep(
     pseudo_prefix = compiled._pseudo_layout()[1]
     values_f32 = None if margin is None else compiled._f32_values()
     kernel = None if margin is None else native.kernel()
-    act_idx = np.arange(num_queries, dtype=np.int64)
+    shared_ids = k <= _CHUNK_MIN_ROWS  # the schedule every such k shares
+    act_idx: np.ndarray | None = None
     topk = np.full(
         (num_queries, k),
         -np.inf,
@@ -804,57 +850,67 @@ def _sweep(
     for lo, hi, tail in _iter_chunks(compiled.layer_bounds(), k):
         if deadline is not None:
             deadline.check(stage="kernel")
-        queries = act_idx.tolist()
+        queries = range(num_queries) if act_idx is None else act_idx.tolist()
         if weights is None:
             block = np.empty((len(queries), hi - lo), dtype=np.float64)
             for row, q in enumerate(queries):
                 block[row] = functions[q].score_many(values[lo:hi])
-        elif values_f32 is None:
-            block = np.sum(
-                values[None, lo:hi, :] * weights[act_idx, None, :], axis=2
-            )
-        elif kernel is None:
-            block = weights[act_idx] @ values_f32[lo:hi].T
         else:
-            block, tail_max = kernel.score_chunk(
-                values_f32, weights[act_idx], lo, hi, tail
-            )
+            active = weights if act_idx is None else weights[act_idx]
+            if values_f32 is None:
+                block = np.sum(
+                    values[None, lo:hi, :] * active[:, None, :], axis=2
+                )
+            elif kernel is None:
+                block = active @ values_f32[lo:hi].T
+            else:
+                block, tail_max = kernel.score_chunk(
+                    values_f32, active, lo, hi, tail
+                )
         if kernel is None:
             tail_max = block[:, tail - lo:].max(axis=1)
 
-        # One owning copy per chunk, shared by every active query's
-        # counter — a slice view would pin the snapshot buffer (fatal for
-        # shared-memory workers) and get re-copied per query instead.
-        block_ids = ids_arr[lo:hi].copy()
-        block_pseudo = int(pseudo_prefix[hi] - pseudo_prefix[lo])
+        block_ids = compiled._chunk_ids(lo, hi, shared_ids)
+        block_pseudo = (
+            0 if pseudo_prefix is None
+            else int(pseudo_prefix[hi] - pseudo_prefix[lo])
+        )
         for q in queries:
             counters[q].count_computed_batch(block_ids, pseudo=block_pseudo)
 
         ans_block = _chunk_answerable(compiled, where, exclude, lo, hi)
         scanned.append((lo, hi, act_idx, block, ans_block))
-        num_answerable = int(ans_block.sum())
+        cand = block if ans_block is None else block[:, ans_block]
+        num_answerable = int(cand.shape[1])
         if num_answerable:
-            pool = np.concatenate(
-                [topk[act_idx], block[:, ans_block]], axis=1
-            )
-            topk[act_idx] = np.partition(
-                pool, int(pool.shape[1]) - k, axis=1
-            )[:, -k:]
+            if ans_count == 0 and num_answerable >= k:
+                pool = cand  # the running top-k is still all -inf
+            else:
+                kept = topk if act_idx is None else topk[act_idx]
+                pool = np.concatenate([kept, cand], axis=1)
+            best = np.partition(pool, int(pool.shape[1]) - k, axis=1)[:, -k:]
+            if act_idx is None:
+                topk = best
+            else:
+                topk[act_idx] = best
             ans_count += num_answerable
         if hi >= n or ans_count < k:
             continue
         # Column 0 of the kept slice is the running k-th best (row
         # minimum).  float32 operands promote to float64 against margin.
-        kth = topk[act_idx, 0]
+        kth = topk[:, 0] if act_idx is None else topk[act_idx, 0]
         if margin is None:
             done = kth > tail_max
         else:
-            marg = margin[act_idx]
+            marg = margin if act_idx is None else margin[act_idx]
             done = (kth - marg) > (tail_max + marg)
-        stop_prefix[act_idx[done]] = hi
-        act_idx = act_idx[~done]
-        if act_idx.size == 0:
-            break
+        if done.any():
+            if act_idx is None:
+                act_idx = np.arange(num_queries, dtype=np.int64)
+            stop_prefix[act_idx[done]] = hi
+            act_idx = act_idx[~done]
+            if act_idx.size == 0:
+                break
     return topk, stop_prefix, scanned
 
 
@@ -891,20 +947,19 @@ def _f32_lane(
         for lo, _hi, act_idx, block32, ans_block in scanned:
             if lo >= prefix:
                 break
-            row = int(np.searchsorted(act_idx, q))
-            keep = np.flatnonzero(ans_block & (block32[row] >= threshold32))
-            cand.append(keep + lo)
-        rows = np.concatenate(cand)
+            row = q if act_idx is None else int(np.searchsorted(act_idx, q))
+            keep = block32[row] >= threshold32
+            if ans_block is not None:
+                keep &= ans_block
+            cand.append(keep.nonzero()[0] + lo)
+        rows = cand[0] if len(cand) == 1 else np.concatenate(cand)
         # Exact float64 boundary re-check: same elementwise-multiply +
-        # np.sum reduction as LinearFunction.score_many, so the kept
-        # scores are bit-identical to the reference engine's.
-        exact = np.sum(values[rows] * weights[q], axis=1)
+        # sum reduction as LinearFunction.score_many, so the kept scores
+        # are bit-identical to the reference engine's.
+        exact = (values[rows] * weights[q]).sum(axis=1)
+        top_ids, top_scores = _select_exact(ids_arr[rows], exact, k)
         results.append(
-            TopKResult.from_pairs(
-                _select_exact(ids_arr[rows], exact, k),
-                counters[q],
-                algorithm=algorithm,
-            )
+            TopKResult(top_ids, top_scores, counters[q], algorithm=algorithm)
         )
     return results
 
@@ -943,16 +998,14 @@ def _f64_lane(
         for lo, hi, act_idx, block, ans_block in scanned:
             if lo >= prefix:
                 break
-            row = int(np.searchsorted(act_idx, q))
-            ids_parts.append(ids_arr[lo:hi][ans_block])
-            score_parts.append(block[row, ans_block])
+            row = q if act_idx is None else int(np.searchsorted(act_idx, q))
+            keep = slice(None) if ans_block is None else ans_block
+            ids_parts.append(ids_arr[lo:hi][keep])
+            score_parts.append(block[row, keep])
+        top_ids, top_scores = _select_exact(
+            np.concatenate(ids_parts), np.concatenate(score_parts), k
+        )
         results.append(
-            TopKResult.from_pairs(
-                _select_exact(
-                    np.concatenate(ids_parts), np.concatenate(score_parts), k
-                ),
-                counters[q],
-                algorithm=algorithm,
-            )
+            TopKResult(top_ids, top_scores, counters[q], algorithm=algorithm)
         )
     return results

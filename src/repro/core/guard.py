@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import replace
 from typing import Sequence
 
 from repro.core.advanced import AdvancedTraveler
@@ -333,7 +332,7 @@ def run_query(
             breaker.record_success(
                 1000.0 * (time.monotonic() - tier_started)
             )
-        return replace(result, tier=tier)
+        return result.served_by(tier)
     if failure is not None:
         raise failure
     raise InvariantViolation("no serving tier ran")

@@ -237,12 +237,9 @@ def overlay_batch_top_k(
         pool_scores = np.concatenate(
             [np.asarray(base.scores, dtype=np.float64), delta_scores]
         )
+        top_ids, top_scores = _select_exact(pool_ids, pool_scores, k)
         merged.append(
-            TopKResult.from_pairs(
-                _select_exact(pool_ids, pool_scores, k),
-                counters[q],
-                algorithm=algorithm,
-            )
+            TopKResult(top_ids, top_scores, counters[q], algorithm=algorithm)
         )
     return merged
 

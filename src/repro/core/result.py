@@ -66,6 +66,19 @@ class TopKResult:
         scores = tuple(float(score) for score, _ in pairs)
         return cls(ids=ids, scores=scores, stats=stats, algorithm=algorithm)
 
+    def served_by(self, tier: str, epoch: int | None = None) -> "TopKResult":
+        """A copy stamped with the serving ``tier`` (and ``epoch``, if given).
+
+        The answer tuples are shared with ``self``, which validated them
+        at construction, so unlike :func:`dataclasses.replace` this does
+        not pay the O(k) ordering check again on every served read.
+        """
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__, tier=tier)
+        if epoch is not None:
+            clone.__dict__["epoch"] = epoch
+        return clone
+
     def __len__(self) -> int:
         return len(self.ids)
 

@@ -97,7 +97,7 @@ import threading
 import time
 import warnings
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 import numpy as np
@@ -847,7 +847,7 @@ class ServingIndex:
                     budget_exc.tier = budget_exc.tier or "naive"
                     raise
                 tier = "naive"
-            final = replace(result, tier=tier, epoch=snap.epoch)
+            final = result.served_by(tier, snap.epoch)
             if key is not None and tier == "compiled" and self._cache is not None:
                 # Degraded answers are exact too, but caching them would
                 # keep reporting tier="naive" after the engine healed.
@@ -956,7 +956,7 @@ class ServingIndex:
             fabric_started = time.monotonic()
             try:
                 computed = [
-                    replace(result, tier="compiled")
+                    result.served_by("compiled")
                     for result in self._fabric.map_queries(
                         miss_functions, k, where=where, mode=mode,
                         deadline=deadline,
@@ -1001,7 +1001,7 @@ class ServingIndex:
                     deadline=deadline,
                 )
             return [
-                replace(result, tier="compiled", epoch=snap.epoch)
+                result.served_by("compiled", snap.epoch)
                 for result in swept
             ]
         except QueryBudgetExceeded:
@@ -1024,7 +1024,7 @@ class ServingIndex:
                     overlay=snap.overlay,
                 )
                 computed.append(
-                    replace(result, tier="naive", epoch=snap.epoch)
+                    result.served_by("naive", snap.epoch)
                 )
             return computed
 

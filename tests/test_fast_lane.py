@@ -275,6 +275,81 @@ class TestLastLayerBound:
         assert_bit_identical(BasicTraveler(graph).top_k(function, 10), result)
 
 
+class TestSkippedBookkeeping:
+    """What the sweep leaves ``None`` until needed, and what it shares."""
+
+    def test_plain_snapshot_has_no_pseudo_layout(self):
+        dataset = uniform(300, 3, seed=4)
+        graph = build_dominant_graph(dataset)
+        snapshot = graph.compile()
+        assert snapshot._pseudo_layout() == (None, None)
+        assert snapshot.num_pseudo == 0
+        function = LinearFunction([0.5, 0.3, 0.2])
+        reference = AdvancedTraveler(graph).top_k(function, 10)
+        for result in kernel_results(
+            CompiledAdvancedTraveler(snapshot), function, 10
+        ):
+            assert_bit_identical(reference, result)
+
+    @pytest.mark.parametrize("variant", ["extended", "marked"])
+    def test_pseudo_rows_bring_the_layout_back(self, variant):
+        dataset = uniform(300, 3, seed=4)
+        function = LinearFunction([0.5, 0.3, 0.2])
+        if variant == "extended":
+            graph = build_extended_graph(dataset, theta=4)
+        else:
+            graph = build_dominant_graph(dataset)
+            for record_id in AdvancedTraveler(graph).top_k(function, 6).ids[::2]:
+                mark_deleted(graph, record_id)
+        snapshot = graph.compile()
+        real, prefix = snapshot._pseudo_layout()
+        assert real is not None and prefix is not None
+        assert np.array_equal(real, ~snapshot.pseudo_mask)
+        assert snapshot.num_pseudo == int(snapshot.pseudo_mask.sum()) > 0
+        assert int(prefix[-1]) == snapshot.num_pseudo
+        reference = AdvancedTraveler(graph).top_k(function, 10)
+        for result in kernel_results(
+            CompiledAdvancedTraveler(snapshot), function, 10
+        ):
+            assert_bit_identical(reference, result)
+            assert result.stats.pseudo_computed > 0
+
+    def test_reads_on_one_snapshot_charge_the_same_id_array(self):
+        snapshot = build_dominant_graph(uniform(4000, 3, seed=21)).compile()
+        _lo, first_hi, _tail = next(_iter_chunks(snapshot.layer_bounds(), 10))
+        assert first_hi < snapshot.num_records
+        first = snapshot.top_k(LinearFunction([0.5, 0.3, 0.2]), 10)
+        second = snapshot.top_k(LinearFunction([0.2, 0.3, 0.5]), 3)
+        (charged,) = first.stats._id_chunks
+        assert charged is second.stats._id_chunks[0]
+        assert charged.flags.owndata and not charged.flags.writeable
+        assert first.stats.computed == first_hi
+        assert first.stats.computed_ids == frozenset(
+            snapshot.record_ids[:first_hi].tolist()
+        )
+
+    def test_k_past_the_default_schedule_copies_per_call(self):
+        snapshot = build_dominant_graph(uniform(4000, 3, seed=21)).compile()
+        function = LinearFunction([0.5, 0.3, 0.2])
+        snapshot.top_k(function, 10)
+        cached = len(snapshot._chunk_ids_cache)
+        assert cached >= 1
+        deep = compiled_engine._CHUNK_MIN_ROWS + 1
+        results = [snapshot.top_k(function, deep) for _ in range(2)]
+        assert len(snapshot._chunk_ids_cache) == cached
+        assert (
+            results[0].stats._id_chunks[0] is not results[1].stats._id_chunks[0]
+        )
+        assert results[0].ids == results[1].ids and len(results[0]) == deep
+        # The cache tiles the snapshot at most once, whatever k asked.
+        for k in (1, 50, compiled_engine._CHUNK_MIN_ROWS):
+            snapshot.top_k(function, k)
+        assert (
+            sum(ids.size for ids in snapshot._chunk_ids_cache.values())
+            <= snapshot.num_records
+        )
+
+
 # Hypothesis sweep: small integer-grid blocks (ties and duplicates are
 # frequent) with occasional sub-float32 perturbations.
 tie_heavy_blocks = st.integers(min_value=2, max_value=4).flatmap(

@@ -1,0 +1,57 @@
+"""A deterministic ratchet on the read path's per-query bookkeeping.
+
+The kernel's arithmetic is a small part of a served read; what is left
+is Python-level bookkeeping, and the cheapest stable proxy for it is how
+many calls into this package one read makes.  Counted with ``cProfile``
+over uncached ``ServingIndex.query`` reads and filtered to functions
+defined under ``src/repro/``, the figure involves no clock, so it does
+not move with the host or the numpy build — only with the code.
+"""
+
+from __future__ import annotations
+
+import cProfile
+import os
+import pstats
+
+import numpy as np
+
+import repro
+from repro.core.builder import build_dominant_graph
+from repro.core.functions import LinearFunction
+from repro.data.generators import uniform
+from repro.serve import ServingIndex
+
+READS = 200
+
+#: Calls into ``src/repro`` one uncached read may make.  71 before the
+#: sweep stopped gathering for unretired queries and unmasked rows and
+#: the serving spine stopped re-validating results; 47 after.
+MAX_CALLS_PER_READ = 55
+
+
+def test_uncached_read_makes_few_package_calls(tmp_path):
+    package_dir = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+    graph = build_dominant_graph(uniform(2500, 4, seed=5))
+    weights = np.random.default_rng(5).dirichlet(np.ones(4), size=READS + 20)
+    functions = [LinearFunction(row) for row in weights]
+    index = ServingIndex.create(str(tmp_path / "serve"), graph, fsync="batch")
+    try:
+        for function in functions[READS:]:  # warm the lazy snapshot caches
+            index.query(function, k=10)
+        hits_before = index.health()["cache"]["hits"]
+        profiler = cProfile.Profile()
+        profiler.enable()
+        for function in functions[:READS]:
+            index.query(function, k=10)
+        profiler.disable()
+        assert index.health()["cache"]["hits"] == hits_before
+    finally:
+        index.close(checkpoint=False)
+
+    calls = sum(
+        entry[1]  # total call count, recursive calls included
+        for (filename, _line, _name), entry in pstats.Stats(profiler).stats.items()
+        if filename.startswith(package_dir)
+    )
+    assert calls / READS <= MAX_CALLS_PER_READ, calls / READS

@@ -1,5 +1,6 @@
 """Unit tests for metrics (counters, timing) and the TopKResult type."""
 
+import pickle
 import time
 
 import pytest
@@ -119,3 +120,50 @@ class TestTopKResult:
         other_stats.count_computed(2)
         b = TopKResult.from_pairs([(3.0, 7)], other_stats)
         assert a == b
+
+
+class TestServedBy:
+    """``served_by`` stamps tier/epoch on a copy that shares the answer."""
+
+    def _result(self):
+        counter = AccessCounter()
+        counter.count_computed(7)
+        return TopKResult.from_pairs([(3.0, 7), (1.0, 2)], counter, "alg")
+
+    def test_stamps_tier_and_epoch_and_shares_the_answer(self):
+        original = self._result()
+        served = original.served_by("compiled", 4)
+        assert (served.tier, served.epoch) == ("compiled", 4)
+        assert served == original
+        assert served is not original
+        assert served.ids is original.ids
+        assert served.scores is original.scores
+        assert served.stats is original.stats
+        assert served.algorithm == "alg"
+
+    def test_original_is_untouched(self):
+        original = self._result()
+        original.served_by("naive", 9)
+        assert (original.tier, original.epoch) == ("", -1)
+
+    def test_epoch_none_keeps_the_epoch(self):
+        served = self._result().served_by("compiled", 3)
+        restamped = served.served_by("naive")
+        assert (restamped.tier, restamped.epoch) == ("naive", 3)
+        assert (served.tier, served.epoch) == ("compiled", 3)
+
+    def test_served_result_stays_frozen_and_pickles_equal(self):
+        served = self._result().served_by("compiled", 2)
+        with pytest.raises(AttributeError):
+            served.tier = "naive"
+        clone = pickle.loads(pickle.dumps(served))
+        assert clone == served
+        assert (clone.tier, clone.epoch, clone.algorithm) == ("compiled", 2, "alg")
+        assert clone.stats.computed == served.stats.computed
+
+    def test_direct_construction_still_validates(self):
+        with pytest.raises(ValueError, match="non-increasing"):
+            TopKResult(
+                ids=(1, 2), scores=(1.0, 2.0), stats=AccessCounter(),
+                tier="compiled", epoch=1,
+            )

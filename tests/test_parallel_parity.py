@@ -141,3 +141,21 @@ def test_full_mode_stats_match_compiled_engine():
     assert expected.stats.computed == got.stats.computed
     assert expected.stats.pseudo_computed == got.stats.pseudo_computed
     assert expected.stats.computed_ids == got.stats.computed_ids
+
+
+def test_fabric_reply_counter_is_one_int32_buffer():
+    """Workers charge the snapshot's shared id chunks; the reply still
+    ships each counter's ids as one consolidated int32 array."""
+    compiled = build_variant(3, "plain").compile()
+    functions = make_functions(3)[:2]
+    local = batch_top_k(compiled, functions, 10)
+
+    with ParallelQueryExecutor(compiled, workers=1) as pool:
+        for mode in ("full", "batch"):
+            for inproc, got in zip(
+                local, pool.map_queries(functions, 10, mode=mode)
+            ):
+                (wire,) = got.stats._id_chunks
+                assert wire.dtype == np.int32 and wire.flags.owndata
+                assert got.stats.computed == wire.size == inproc.stats.computed
+                assert got.stats.computed_ids == inproc.stats.computed_ids
