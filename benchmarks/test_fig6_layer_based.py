@@ -49,10 +49,11 @@ def u3_dataset():
 def test_bench_dg_construction(benchmark, fig6_tables, u3_dataset):
     # Substrate caveat (documented in EXPERIMENTS.md): the paper measures
     # three same-language C++ builds where DG is cheapest; here ONION
-    # rides scipy's C Qhull while DG peels layers in pure Python, so the
-    # absolute ordering inverts.  The language-independent shape that
-    # remains checkable is growth: DG construction scales sub-quadratically
-    # in |D| (near-linear in practice), like the paper's Fig. 6a/b curves.
+    # rides scipy's C Qhull while DG's blocked pass is numpy driven from
+    # Python, so DG beats AppRI but stays a constant behind ONION.  The
+    # language-independent shape that remains checkable is growth: DG
+    # construction scales sub-quadratically in |D|, like the paper's
+    # Fig. 6a/b curves.
     for key in ("construction_u3", "construction_server"):
         table = fig6_tables[key]
         dg = table.series_by_label("DG")

@@ -2,9 +2,13 @@
 
 The paper builds the DG by (1) finding each maximal layer with "any skyline
 algorithm" and (2) wiring parent-children edges between consecutive layers.
-:func:`build_dominant_graph` does exactly that with a pluggable skyline
-routine; :func:`build_extended_graph` additionally stacks pseudo levels on
-top when the first layer exceeds the θ threshold (Section IV-A).
+:func:`build_dominant_graph` does (1) for all layers at once — every
+record's layer from the longest-chain rule, in one blocked pass
+(:func:`repro.core.layers.layer_indices_by_chains`) — unless a ``skyline=``
+routine is passed, which it then peels with, one layer at a time; and (2)
+from one dominance matrix per pair of consecutive layers.
+:func:`build_extended_graph` additionally stacks pseudo levels on top when
+the first layer exceeds the θ threshold (Section IV-A).
 
 Both builders accept a ``record_ids`` subset so a graph can index part of a
 dataset — the maintenance experiments (Section V) pre-generate insertion
@@ -36,10 +40,10 @@ def build_dominant_graph(
     dataset:
         The record set to index.
     skyline:
-        Optional maximal-set routine (block -> boolean mask).  Defaults to
-        the vectorized sort-filter scan; any algorithm from
-        :mod:`repro.skyline` can be plugged in via
-        :func:`repro.skyline.as_mask_function`.
+        Optional maximal-set routine (block -> boolean mask) to peel the
+        layers with, e.g. any algorithm from :mod:`repro.skyline` via
+        :func:`repro.skyline.as_mask_function`.  The default is the
+        blocked longest-chain pass, which builds the same graph.
     record_ids:
         Optional subset of rows to index (default: all rows).
 
@@ -58,7 +62,7 @@ def build_dominant_graph(
     if record_ids is None:
         ids = np.arange(len(dataset), dtype=np.intp)
     else:
-        ids = np.asarray(sorted(set(int(r) for r in record_ids)), dtype=np.intp)
+        ids = np.unique(np.fromiter(record_ids, dtype=np.intp))
         if ids.size == 0:
             raise ValueError("record_ids must select at least one record")
         if ids[0] < 0 or ids[-1] >= len(dataset):
@@ -70,8 +74,8 @@ def build_dominant_graph(
     graph = DominantGraph(dataset)
     global_layers = [ids[layer] for layer in local_layers]
     for layer_index, layer_ids in enumerate(global_layers):
-        for rid in layer_ids:
-            graph.place_record(int(rid), layer_index)
+        for rid in layer_ids.tolist():
+            graph.place_record(rid, layer_index)
 
     _wire_consecutive_layers(graph, global_layers, dataset)
     return graph
@@ -84,20 +88,23 @@ def _wire_consecutive_layers(
 ) -> None:
     """Add every dominance edge between each pair of consecutive layers.
 
-    Bulk path: one :meth:`~repro.core.graph.DominantGraph.add_children`
-    call per parent (a whole dominance-matrix row at a time) instead of
-    one ``add_edge`` call per edge.
+    Bulk path: one ``np.nonzero`` turns a pair's dominance matrix into its
+    edge list, which goes straight into the graph's adjacency sets —
+    :meth:`~repro.core.graph.DominantGraph.add_edge` minus a call per
+    edge; the builder owns the graph until it returns it.
     """
+    children, parents = graph._children, graph._parents
     for upper_ids, lower_ids in zip(layers, layers[1:]):
-        upper_arr = np.asarray(upper_ids, dtype=np.intp)
-        lower_arr = np.asarray(lower_ids, dtype=np.intp)
         matrix = dominance_matrix(
-            dataset.values[upper_arr], dataset.values[lower_arr]
+            dataset.values[upper_ids], dataset.values[lower_ids]
         )
-        for row, parent in enumerate(upper_arr.tolist()):
-            children = lower_arr[matrix[row]]
-            if children.size:
-                graph.add_children(parent, children.tolist())
+        above, below = np.nonzero(matrix)
+        for parent, child in zip(
+            upper_ids[above].tolist(), lower_ids[below].tolist()
+        ):
+            children[parent].add(child)
+            parents[child].add(parent)
+    graph._version += 1
 
 
 def build_extended_graph(

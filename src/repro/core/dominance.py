@@ -54,36 +54,51 @@ def dominance_matrix(
     """Boolean matrix ``M[i, j]`` = "``upper[i]`` dominates ``lower[j]``".
 
     Used to build the bipartite parent-children edges between consecutive
-    DG layers (Definition 2.4).  ``upper`` is ``(a, m)``, ``lower`` is
+    DG layers (Definition 2.4) and, block against placed layer, to find
+    the layers themselves.  ``upper`` is ``(a, m)``, ``lower`` is
     ``(b, m)``; the result is ``(a, b)``.
 
-    The broadcast is chunked over ``block_rows`` rows of ``upper`` at a
-    time: a single ``(a, b, m)`` comparison needs ``2*a*b*m`` bytes of
-    temporaries, which blows up on large consecutive layers (two 5,000-row
-    layers in 10-d already need ~500 MB).  Chunking caps the peak at
-    ``2*block_rows*b*m`` bytes with identical output.
+    One two-dimensional ``>=`` and one ``<=`` sweep per dimension, ANDed
+    into two ``(rows, b)`` masks: ``upper[i]`` dominates ``lower[j]`` when
+    it is ``>=`` everywhere and not ``<=`` everywhere.  The sweeps run
+    over ``block_rows`` rows of ``upper`` at a time, so the temporaries
+    are ``block_rows * b`` bytes each whatever ``a`` and ``m`` are.
     """
-    a = upper.shape[0]
-    b = lower.shape[0]
-    out = np.empty((a, b), dtype=bool)
-    lo = lower[None, :, :]  # (1, b, m)
+    a, m = upper.shape
+    out = np.empty((a, lower.shape[0]), dtype=bool)
+    columns = np.ascontiguousarray(lower.T)  # one contiguous row per dimension
     for start in range(0, a, block_rows):
-        stop = min(start + block_rows, a)
-        u = upper[start:stop, None, :]  # (chunk, 1, m)
-        ge = (u >= lo).all(axis=2)
-        gt = (u > lo).any(axis=2)
-        np.logical_and(ge, gt, out=out[start:stop])
+        rows = upper[start : start + block_rows]
+        ge = out[start : start + block_rows]
+        np.greater_equal(rows[:, 0, None], columns[0], out=ge)
+        le = rows[:, 0, None] <= columns[0]
+        for dim in range(1, m):
+            ge &= rows[:, dim, None] >= columns[dim]
+            le &= rows[:, dim, None] <= columns[dim]
+        ge &= ~le
     return out
+
+
+def _dominators_first(values: np.ndarray) -> np.ndarray:
+    """Row order in which every row comes after all rows that dominate it.
+
+    Descending coordinate sum, ties broken lexicographically on the
+    coordinates.  The sum alone is not enough in floating point: a
+    dominator's sum is never smaller, but it can round to the *same*
+    float (``[1e16, 0.5]`` and ``[1e16, 0.25]``), and a dominator is
+    always the lexicographically larger of the two.
+    """
+    return np.lexsort((*-values.T[::-1], -values.sum(axis=1)))
 
 
 def maximal_mask(block: np.ndarray) -> np.ndarray:
     """Mask of rows of ``block`` dominated by no other row (Definition 2.3).
 
     This is the skyline of ``block`` under the max-preferring dominance.
-    Implemented as a sort-filter scan (SFS): rows are visited in descending
-    order of coordinate sum, so a row can only be dominated by an
-    already-accepted maximal row — each visit is one vectorized check
-    against the current maximal set.
+    Implemented as a sort-filter scan (SFS): rows are visited dominators
+    first (descending coordinate sum, see :func:`_dominators_first`), so a
+    row can only be dominated by an already-accepted maximal row — each
+    visit is one vectorized check against the current maximal set.
 
     Duplicate rows: exact duplicates do not dominate each other
     (Definition 2.2 requires a strict inequality somewhere), so all copies
@@ -92,13 +107,12 @@ def maximal_mask(block: np.ndarray) -> np.ndarray:
     n, m = block.shape
     if n == 0:
         return np.zeros(0, dtype=bool)
-    order = np.argsort(-block.sum(axis=1), kind="stable")
     mask = np.zeros(n, dtype=bool)
     # Preallocated buffer of accepted maximal rows; a view of the filled
     # prefix is what each new row is checked against.
     buffer = np.empty((n, m), dtype=block.dtype)
     filled = 0
-    for idx in order:
+    for idx in _dominators_first(block):
         point = block[idx]
         if filled and bool(dominators_of(point, buffer[:filled]).any()):
             continue

@@ -1,18 +1,22 @@
-"""Sort-Filter Skyline: the repository's default layer-peeling routine.
+"""Sort-Filter Skyline: peeling's default routine, one layer at a time.
 
-Rows are visited in an order that is a topological order of dominance
-(descending coordinate sum: a dominator always has a strictly larger sum),
-so each row needs a single vectorized check against the accepted maximal
-set.  Worst case O(n * s) where s is the skyline size; in practice the
-fastest of the bundled algorithms on the paper's workloads, which is why
-the DG builder defaults to it.
+Rows are visited in a topological order of dominance — descending
+coordinate sum, with ties between equal float sums broken
+lexicographically on the coordinates, because a dominator's sum is never
+smaller but can round to the same float — so each row needs a single
+vectorized check against the accepted maximal set.  Worst case O(n * s)
+where s is the skyline size; in practice the fastest of the bundled
+algorithms on the paper's workloads.  The scan itself is
+:func:`repro.core.dominance.maximal_mask`.  The DG builder peels only
+when given a ``skyline=`` routine; by default it assigns every layer in
+one blocked pass (:func:`repro.core.layers.layer_indices_by_chains`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.dominance import dominators_of
+from repro.core.dominance import maximal_mask
 
 
 def sfs_skyline(values: np.ndarray) -> np.ndarray:
@@ -23,19 +27,4 @@ def sfs_skyline(values: np.ndarray) -> np.ndarray:
     >>> sfs_skyline(np.array([[2.0, 2.0], [1.0, 1.0], [3.0, 0.0]])).tolist()
     [0, 2]
     """
-    values = np.asarray(values, dtype=np.float64)
-    n, m = values.shape
-    if n == 0:
-        return np.empty(0, dtype=np.intp)
-    order = np.argsort(-values.sum(axis=1), kind="stable")
-    buffer = np.empty((n, m), dtype=np.float64)
-    filled = 0
-    accepted: list = []
-    for idx in order:
-        point = values[idx]
-        if filled and bool(dominators_of(point, buffer[:filled]).any()):
-            continue
-        buffer[filled] = point
-        filled += 1
-        accepted.append(int(idx))
-    return np.asarray(sorted(accepted), dtype=np.intp)
+    return np.flatnonzero(maximal_mask(np.asarray(values, dtype=np.float64)))

@@ -5,9 +5,10 @@ import pytest
 
 from repro.core.builder import build_dominant_graph, build_extended_graph
 from repro.core.dataset import Dataset
-from repro.core.dominance import dominates
+from repro.core.dominance import dominates, maximal_mask
 from repro.data.generators import correlated, gaussian, uniform
 from repro.skyline import ALGORITHMS, as_mask_function
+from repro.store import save_graph_store
 
 
 class TestBuildDominantGraph:
@@ -73,6 +74,54 @@ class TestBuildDominantGraph:
         graph = build_dominant_graph(Dataset([[1.0, 2.0]]))
         graph.validate()
         assert graph.layer_sizes() == [1]
+
+    def test_subset_accepts_any_iterable_of_ids(self, small_dataset):
+        expected = build_dominant_graph(small_dataset, record_ids=[1, 3, 4]).layers()
+        for ids in ({4, 1, 3}, np.array([3, 1, 4, 1]), iter([4, 3, 1])):
+            assert build_dominant_graph(small_dataset, record_ids=ids).layers() == expected
+
+    def test_tied_float_sums_build_a_valid_graph(self):
+        # Equal float sums although record 1 dominates record 0: the sum
+        # order alone put both in one layer.
+        graph = build_dominant_graph(Dataset([[1e16, 0.25], [1e16, 0.5]]))
+        graph.validate()
+        assert graph.layers() == [frozenset({1}), frozenset({0})]
+        assert graph.parents_of(0) == frozenset({1})
+
+
+class TestBlockedPassBuildsThePeeledGraph:
+    """The default build and per-layer peeling give the same object."""
+
+    @staticmethod
+    def assert_same_graph(dataset, record_ids, tmp_path):
+        built = build_dominant_graph(dataset, record_ids=record_ids)
+        peeled = build_dominant_graph(
+            dataset, skyline=maximal_mask, record_ids=record_ids
+        )
+        built.validate()
+        assert built.layers() == peeled.layers()
+        for rid in peeled.iter_records():
+            assert built.parents_of(rid) == peeled.parents_of(rid)
+            assert built.children_of(rid) == peeled.children_of(rid)
+        paths = [
+            save_graph_store(graph, str(tmp_path / name), durable=False)
+            for graph, name in ((built, "built"), (peeled, "peeled"))
+        ]
+        with open(paths[0], "rb") as one, open(paths[1], "rb") as other:
+            assert one.read() == other.read()
+
+    @pytest.mark.parametrize("maker,dims", [
+        (uniform, 2), (uniform, 4), (correlated, 3), (gaussian, 6),
+    ])
+    @pytest.mark.parametrize("subset", [False, True])
+    def test_same_layers_edges_and_store_bytes(self, maker, dims, subset, tmp_path):
+        dataset = maker(700, dims, seed=11)
+        record_ids = list(range(0, 700, 3)) + [5, 5] if subset else None
+        self.assert_same_graph(dataset, record_ids, tmp_path)
+
+    def test_duplicate_vectors(self, tmp_path):
+        values = np.random.default_rng(3).integers(0, 4, size=(400, 3))
+        self.assert_same_graph(Dataset(values.astype(np.float64)), None, tmp_path)
 
 
 class TestBuildExtendedGraph:

@@ -80,13 +80,34 @@ class TestVectorizedForms:
         matrix = dominance_matrix(np.empty((0, 2)), np.ones((3, 2)))
         assert matrix.shape == (0, 3)
 
+    @pytest.mark.parametrize("dims", [1, 2, 5])
+    @pytest.mark.parametrize("block_rows", [1, 4, 256])
+    def test_dominance_matrix_pairwise_with_equal_rows(self, rng, dims, block_rows):
+        # A coarse grid, and rows of ``lower`` copied from ``upper``: equal
+        # rows and rows equal in all but one dimension on both sides.
+        upper = rng.integers(0, 3, size=(11, dims)).astype(np.float64)
+        lower = rng.integers(0, 3, size=(9, dims)).astype(np.float64)
+        lower[:4] = upper[:4]
+        matrix = dominance_matrix(upper, lower, block_rows=block_rows)
+        assert matrix.dtype == bool and matrix.shape == (11, 9)
+        for i in range(11):
+            for j in range(9):
+                assert matrix[i, j] == dominates(upper[i], lower[j]), (i, j)
+
+    def test_dominance_matrix_takes_strided_views(self, rng):
+        values = rng.integers(0, 4, size=(30, 6)).astype(np.float64)
+        upper, lower = values[::2, ::2], values[1::3, ::2]
+        np.testing.assert_array_equal(
+            dominance_matrix(upper, lower),
+            dominance_matrix(upper.copy(), lower.copy()),
+        )
+
     def test_dominance_matrix_chunking_identical(self, rng):
-        """Chunked broadcast == one-shot broadcast on a >10M-element pair.
+        """Chunked sweeps == one-shot broadcast on a >10M-element pair.
 
         ``dominance_matrix`` blocks over ``upper`` rows to bound peak
-        memory (a 600 x 700 layer pair in 24-d would otherwise build two
-        ~10M-element temporaries per comparison); the output must not
-        depend on the block size.
+        memory; the output must not depend on the block size, and must
+        equal the ``(a, b, m)`` broadcast it replaced.
         """
         a, b, m = 600, 700, 24
         assert a * b * m > 10_000_000
@@ -144,9 +165,22 @@ class TestMaximalMask:
 
 class TestDominanceWithTies:
     def test_weakly_greater_but_equal_sum_cannot_happen(self, rng):
-        # If a dominates b then sum(a) > sum(b): the SFS sort order is a
-        # topological order of dominance, which maximal_mask relies on.
+        # If a dominates b then sum(a) > sum(b) in exact arithmetic, and
+        # on these magnitudes in float64 too; see the next test for when
+        # the float sums tie.
         for _ in range(100):
             a, b = rng.uniform(size=3), rng.uniform(size=3)
             if dominates(a, b):
                 assert a.sum() > b.sum()
+
+    def test_maximal_mask_when_a_dominator_ties_on_the_float_sum(self):
+        # Both sums round to 1e16, so the sum order alone would visit the
+        # dominated row first and accept it; the SFS order breaks sum ties
+        # lexicographically, which puts a dominator first.
+        block = np.array([[1e16, 0.25], [1e16, 0.5]])
+        assert block[0].sum() == block[1].sum()
+        assert dominates(block[1], block[0])
+        assert maximal_mask(block).tolist() == [False, True]
+        assert maximal_mask(block[::-1]).tolist() == [True, False]
+        wide = np.array([[0.5, 1e16, 0.0], [0.25, 1e16, 0.0], [0.25, 1e16, 1.0]])
+        assert maximal_mask(wide).tolist() == [True, False, True]

@@ -1,11 +1,13 @@
-"""A deterministic ratchet on the read path's per-query bookkeeping.
+"""Deterministic ratchets on the read and build paths' bookkeeping.
 
 The kernel's arithmetic is a small part of a served read; what is left
 is Python-level bookkeeping, and the cheapest stable proxy for it is how
 many calls into this package one read makes.  Counted with ``cProfile``
 over uncached ``ServingIndex.query`` reads and filtered to functions
 defined under ``src/repro/``, the figure involves no clock, so it does
-not move with the host or the numpy build — only with the code.
+not move with the host or the numpy build — only with the code.  The
+same count over one ``build_dominant_graph`` keeps per-record and
+per-parent Python loops out of the build.
 """
 
 from __future__ import annotations
@@ -29,9 +31,39 @@ READS = 200
 #: the serving spine stopped re-validating results; 47 after.
 MAX_CALLS_PER_READ = 55
 
+BUILD_RECORDS = 2500
+
+#: Calls into ``src/repro`` one build of ``BUILD_RECORDS`` records may
+#: make.  Placement takes two per record (``place_record`` and the
+#: ``ensure_layers`` inside it); the blocked pass and the wiring took
+#: about 500 more when this was written.  Peeling with one
+#: ``dominators_of`` call per candidate made 22,890 on the same input, and
+#: one ``add_children`` call per parent would add 1,637.
+MAX_CALLS_PER_BUILD = 2 * BUILD_RECORDS + 1000
+
+
+def package_calls(profiler: cProfile.Profile) -> int:
+    """Calls the profile recorded into functions defined under src/repro."""
+    package_dir = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+    return sum(
+        entry[1]  # total call count, recursive calls included
+        for (filename, _line, _name), entry in pstats.Stats(profiler).stats.items()
+        if filename.startswith(package_dir)
+    )
+
+
+def test_build_makes_few_package_calls():
+    dataset = uniform(BUILD_RECORDS, 4, seed=5)
+    profiler = cProfile.Profile()
+    profiler.enable()
+    graph = build_dominant_graph(dataset)
+    profiler.disable()
+    assert len(graph) == BUILD_RECORDS and graph.num_layers == 14
+    calls = package_calls(profiler)
+    assert calls <= MAX_CALLS_PER_BUILD, calls
+
 
 def test_uncached_read_makes_few_package_calls(tmp_path):
-    package_dir = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
     graph = build_dominant_graph(uniform(2500, 4, seed=5))
     weights = np.random.default_rng(5).dirichlet(np.ones(4), size=READS + 20)
     functions = [LinearFunction(row) for row in weights]
@@ -49,9 +81,5 @@ def test_uncached_read_makes_few_package_calls(tmp_path):
     finally:
         index.close(checkpoint=False)
 
-    calls = sum(
-        entry[1]  # total call count, recursive calls included
-        for (filename, _line, _name), entry in pstats.Stats(profiler).stats.items()
-        if filename.startswith(package_dir)
-    )
+    calls = package_calls(profiler)
     assert calls / READS <= MAX_CALLS_PER_READ, calls / READS

@@ -75,7 +75,7 @@ def test_layers_partition_and_stratify(block):
 @common
 @given(blocks)
 def test_chain_formula_matches_peeling(block):
-    layers = compute_layers(block)
+    layers = compute_layers(block, skyline=maximal_mask)
     chains = layer_indices_by_chains(block)
     for index, layer in enumerate(layers, start=1):
         assert all(chains[int(i)] == index for i in layer)
