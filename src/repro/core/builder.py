@@ -73,38 +73,33 @@ def build_dominant_graph(
 
     graph = DominantGraph(dataset)
     global_layers = [ids[layer] for layer in local_layers]
-    for layer_index, layer_ids in enumerate(global_layers):
-        for rid in layer_ids.tolist():
-            graph.place_record(rid, layer_index)
-
-    _wire_consecutive_layers(graph, global_layers, dataset)
+    graph._adopt(
+        np.concatenate(global_layers),
+        np.repeat(
+            np.arange(len(global_layers), dtype=np.intp),
+            [layer.size for layer in global_layers],
+        ),
+        _consecutive_layer_edges(global_layers, dataset),
+    )
     return graph
 
 
-def _wire_consecutive_layers(
-    graph: DominantGraph,
-    layers: Sequence[np.ndarray],
-    dataset: Dataset,
-) -> None:
-    """Add every dominance edge between each pair of consecutive layers.
+def _consecutive_layer_edges(layers: Sequence[np.ndarray], dataset: Dataset) -> np.ndarray:
+    """Every dominance edge between each pair of consecutive layers.
 
-    Bulk path: one ``np.nonzero`` turns a pair's dominance matrix into its
-    edge list, which goes straight into the graph's adjacency sets —
-    :meth:`~repro.core.graph.DominantGraph.add_edge` minus a call per
-    edge; the builder owns the graph until it returns it.
+    One ``np.nonzero`` turns a pair's dominance matrix into its edge
+    list; returns all of them as ``(parent, child)`` rows.
     """
-    children, parents = graph._children, graph._parents
+    parents = [np.empty(0, dtype=np.intp)]
+    children = [np.empty(0, dtype=np.intp)]
     for upper_ids, lower_ids in zip(layers, layers[1:]):
         matrix = dominance_matrix(
             dataset.values[upper_ids], dataset.values[lower_ids]
         )
         above, below = np.nonzero(matrix)
-        for parent, child in zip(
-            upper_ids[above].tolist(), lower_ids[below].tolist()
-        ):
-            children[parent].add(child)
-            parents[child].add(parent)
-    graph._version += 1
+        parents.append(upper_ids[above])
+        children.append(lower_ids[below])
+    return np.column_stack((np.concatenate(parents), np.concatenate(children)))
 
 
 def build_extended_graph(

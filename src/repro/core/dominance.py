@@ -9,8 +9,8 @@ Everything downstream — layer decomposition, DG edges, skyline baselines,
 maintenance — reduces to the three primitives here:
 
 - :func:`dominates` for a single pair,
-- :func:`dominators_of` / :func:`dominated_by` for one-vs-many (numpy
-  broadcast, no Python loop),
+- :func:`dominators_of` / :func:`dominated_by` for one-vs-many (one
+  column sweep per dimension, no Python loop over rows),
 - :func:`dominance_matrix` for many-vs-many (used to build bipartite layer
   edges in one shot).
 """
@@ -31,21 +31,36 @@ def dominates(a: np.ndarray, b: np.ndarray) -> bool:
     return bool(np.all(a >= b) and np.any(a > b))
 
 
+def _weak_dominance(point: np.ndarray, block: np.ndarray) -> tuple:
+    """Masks of ``block`` rows that are ``>=`` / ``<=`` ``point`` everywhere.
+
+    One ``>=`` and one ``<=`` sweep per column of ``block``, ANDed into two
+    ``(n,)`` masks; no ``(n, m)`` temporary, no reduction over the short
+    axis.  A row dominates ``point`` when it is ``>=`` everywhere and not
+    ``<=`` everywhere, and the other way round: one sweep, both tests.
+    """
+    columns = block.T
+    ge = columns[0] >= point[0]
+    le = columns[0] <= point[0]
+    for dim in range(1, columns.shape[0]):
+        ge &= columns[dim] >= point[dim]
+        le &= columns[dim] <= point[dim]
+    return ge, le
+
+
 def dominators_of(point: np.ndarray, block: np.ndarray) -> np.ndarray:
     """Boolean mask over ``block`` rows that dominate ``point``.
 
     ``block`` is ``(n, m)``; returns shape ``(n,)``.
     """
-    ge = block >= point
-    gt = block > point
-    return np.logical_and(ge.all(axis=1), gt.any(axis=1))
+    ge, le = _weak_dominance(point, block)
+    return ge & ~le
 
 
 def dominated_by(point: np.ndarray, block: np.ndarray) -> np.ndarray:
     """Boolean mask over ``block`` rows that ``point`` dominates."""
-    ge = point >= block
-    gt = point > block
-    return np.logical_and(ge.all(axis=1), gt.any(axis=1))
+    ge, le = _weak_dominance(point, block)
+    return le & ~ge
 
 
 def dominance_matrix(

@@ -7,6 +7,13 @@ when ``R`` dominates ``R'``.  The DG is stored independently of the record
 set, as in the paper ("DG is stored independently as the indexing structure
 for the record set").
 
+Layer membership is one integer **layer table** — the layer index of
+every record id, ``-1`` for ids that are not indexed — aligned row for row
+with ``dataset.values`` and grown by doubling for pseudo ids past it.
+Every layer accessor derives from it (a layer is ``flatnonzero(table ==
+i)``), and :mod:`repro.core.maintenance` reads ``_table`` itself.  Edges
+are two dicts of id sets (parents, children), maintained eagerly.
+
 The *Extended* DG (Section IV-A) prepends one or more *pseudo levels*:
 artificial records that dominate clusters of the layer below, introduced to
 prune first-layer evaluations.  Pseudo records live in the same structure;
@@ -43,8 +50,9 @@ class DominantGraph:
 
     def __init__(self, dataset: Dataset) -> None:
         self._dataset = dataset
-        self._layers: list[set] = []
-        self._layer_of: dict = {}
+        #: Layer index by record id, -1 = not indexed; ``_widths`` counts it.
+        self._table = np.full(len(dataset), -1, dtype=np.intp)
+        self._widths: list[int] = []
         self._parents: dict = {}
         self._children: dict = {}
         self._pseudo_vectors: dict = {}
@@ -62,7 +70,7 @@ class DominantGraph:
     @property
     def num_layers(self) -> int:
         """Total layer count, pseudo levels included."""
-        return len(self._layers)
+        return len(self._widths)
 
     @property
     def num_pseudo(self) -> int:
@@ -71,55 +79,54 @@ class DominantGraph:
 
     def layer(self, index: int) -> frozenset:
         """Record ids of layer ``index`` (0-based; 0 is the topmost layer)."""
-        return frozenset(self._layers[index])
+        return frozenset(self.layer_array(index).tolist())
 
     def layer_width(self, index: int) -> int:
         """Record count of layer ``index`` without copying the layer set."""
-        return len(self._layers[index])
+        return self._widths[index]
 
     def layer_array(self, index: int) -> np.ndarray:
         """Sorted id array of layer ``index`` (no intermediate set copy)."""
-        members = self._layers[index]
-        ids = np.fromiter(members, dtype=np.intp, count=len(members))
-        ids.sort()
-        return ids
+        index = range(len(self._widths))[index]  # list semantics: IndexError, negatives
+        return np.flatnonzero(self._table == index)
 
     def layers(self) -> list:
         """All layers, topmost first, as frozensets of record ids."""
-        return [frozenset(layer) for layer in self._layers]
+        return [self.layer(index) for index in range(len(self._widths))]
 
     def layer_of(self, record_id: int) -> int:
         """0-based layer index of a record."""
-        return self._layer_of[record_id]
+        if record_id not in self:
+            raise KeyError(record_id)
+        return int(self._table[record_id])
 
     def __contains__(self, record_id: int) -> bool:
-        return record_id in self._layer_of
+        return 0 <= record_id < self._table.size and bool(self._table[record_id] >= 0)
 
     def __len__(self) -> int:
         """Number of indexed records, pseudo included."""
-        return len(self._layer_of)
+        return sum(self._widths)
 
     def iter_records(self) -> Iterator[int]:
         """All indexed record ids, in layer order."""
-        for layer in self._layers:
-            yield from sorted(layer)
+        ids, layers = self.indexed_arrays()
+        yield from ids[np.argsort(layers, kind="stable")].tolist()
 
     def real_ids(self) -> list:
         """Ids of indexed *real* (non-pseudo) records."""
-        return [rid for rid in self._layer_of if not self.is_pseudo(rid)]
+        ids = np.flatnonzero(self._table >= 0).tolist()
+        return [rid for rid in ids if rid not in self._pseudo_vectors]
 
     def indexed_arrays(self) -> tuple:
         """Ids and layer indices of everything indexed, as parallel arrays.
 
-        Built with C-level iteration over the internal placement map, so
+        One ``flatnonzero`` and one take over the layer table, so
         maintenance can snapshot an ``n``-record graph without ``n`` Python
-        calls.  Order is placement order (not layer order); callers that
-        need layer grouping sort the arrays themselves.
+        calls.  Order is ascending id (not layer order); callers that need
+        layer grouping sort the arrays themselves.
         """
-        n = len(self._layer_of)
-        ids = np.fromiter(self._layer_of.keys(), dtype=np.intp, count=n)
-        layers = np.fromiter(self._layer_of.values(), dtype=np.intp, count=n)
-        return ids, layers
+        ids = np.flatnonzero(self._table >= 0)
+        return ids, self._table[ids]
 
     def pseudo_ids(self) -> list:
         """Sorted ids of the *indexed* pseudo records.
@@ -127,7 +134,7 @@ class DominantGraph:
         Registered-but-unplaced pseudos (mid-construction) are excluded,
         so the result always pairs with :meth:`indexed_arrays`.
         """
-        return sorted(pid for pid in self._pseudo_vectors if pid in self._layer_of)
+        return sorted(pid for pid in self._pseudo_vectors if pid in self)
 
     def is_pseudo(self, record_id: int) -> bool:
         """True for pseudo records (Extended DG artificial parents)."""
@@ -142,15 +149,8 @@ class DominantGraph:
         :meth:`compile` snapshot ``n`` records with O(n) numpy work
         rather than O(n) Python-level calls.
         """
-        values = np.empty((ids.shape[0], self._dataset.dims), dtype=np.float64)
-        pseudo = self.pseudo_ids()
-        if pseudo:
-            pseudo_mask = np.isin(ids, np.asarray(pseudo, dtype=np.intp))
-        else:
-            pseudo_mask = np.zeros(ids.shape[0], dtype=bool)
-        real_pos = np.flatnonzero(~pseudo_mask)
-        if real_pos.size:
-            values[real_pos] = self._dataset.take(ids[real_pos])
+        pseudo_mask = np.isin(ids, np.asarray(self.pseudo_ids(), dtype=np.intp))
+        values = self._dataset.values.take(np.where(pseudo_mask, 0, ids), axis=0)
         for pos in np.flatnonzero(pseudo_mask):
             values[pos] = self._pseudo_vectors[int(ids[pos])]
         return values, pseudo_mask
@@ -203,29 +203,62 @@ class DominantGraph:
     # ------------------------------------------------------------------
     def ensure_layers(self, count: int) -> None:
         """Grow the layer list to at least ``count`` layers."""
-        while len(self._layers) < count:
-            self._layers.append(set())
+        self._widths.extend([0] * (count - len(self._widths)))
+
+    def _reserve(self, max_id: int) -> None:
+        """Grow the layer table (by doubling) until ``max_id`` has a slot."""
+        size = self._table.shape[0]
+        if max_id >= size:
+            table = np.full(max(2 * size, max_id + 1), -1, dtype=np.intp)
+            table[:size] = self._table
+            self._table = table
 
     def prepend_layer(self, record_ids: Iterable[int]) -> None:
         """Insert a new topmost layer (used to stack pseudo levels)."""
-        ids = set(record_ids)
-        self._layers.insert(0, ids)
-        for rid, layer in list(self._layer_of.items()):
-            self._layer_of[rid] = layer + 1
-        for rid in ids:
-            self._layer_of[rid] = 0
+        ids = np.asarray(sorted(set(record_ids)), dtype=np.intp)
+        if ids.size:
+            self._reserve(int(ids[-1]))
+        self._table[self._table >= 0] += 1
+        self._table[ids] = 0
+        self._widths.insert(0, int(ids.size))
         self._version += 1
 
     def place_record(self, record_id: int, layer_index: int) -> None:
         """Put a record into a layer (no edges yet; caller wires them)."""
-        if record_id in self._layer_of:
+        if record_id in self:
             raise ValueError(f"record {record_id} already indexed")
+        if record_id < 0:
+            raise ValueError(f"record id {record_id} is negative")
+        self._reserve(record_id)
         self.ensure_layers(layer_index + 1)
-        self._layers[layer_index].add(record_id)
-        self._layer_of[record_id] = layer_index
+        self._table[record_id] = layer_index
+        self._widths[layer_index] += 1
         self._parents.setdefault(record_id, set())
         self._children.setdefault(record_id, set())
         self._version += 1
+
+    def _adopt(self, record_ids: np.ndarray, layer_of: np.ndarray, edges: np.ndarray) -> None:
+        """Place records and wire ``(parent, child)`` rows of an *empty* graph in bulk.
+
+        What one :meth:`place_record` per record and one :meth:`add_edge`
+        per edge would leave, less the empty adjacency sets (the builder and
+        the loader share it): the table takes the layers in one assignment,
+        each adjacency set one slice of the edge list grouped by parent, then
+        by child.  The caller vouches for distinct non-negative ids and edges
+        between them.
+        """
+        if record_ids.size:
+            self._reserve(int(record_ids.max()))
+            self._table[record_ids] = layer_of
+            self._widths = np.bincount(layer_of).tolist()
+        for adjacency, key in ((self._children, 0), (self._parents, 1)):
+            order = np.argsort(edges[:, key], kind="stable")
+            owners, starts = np.unique(edges[order, key], return_index=True)
+            grouped = edges[order, 1 - key].tolist()
+            bounds = starts.tolist() + [len(grouped)]
+            for owner, start, stop in zip(owners.tolist(), bounds, bounds[1:]):
+                adjacency[owner] = set(grouped[start:stop])
+        self._version += record_ids.size + 1
 
     def move_record(self, record_id: int, new_layer: int) -> None:
         """Move a record to another layer, dropping all its edges.
@@ -234,14 +267,14 @@ class DominantGraph:
         :mod:`repro.core.maintenance`, which rebuilds edges for every moved
         record against its new neighbouring layers).
         """
-        old_layer = self._layer_of[record_id]
+        old_layer = self.layer_of(record_id)
         if old_layer == new_layer:
             return
         self.drop_edges(record_id)
-        self._layers[old_layer].discard(record_id)
         self.ensure_layers(new_layer + 1)
-        self._layers[new_layer].add(record_id)
-        self._layer_of[record_id] = new_layer
+        self._table[record_id] = new_layer
+        self._widths[old_layer] -= 1
+        self._widths[new_layer] += 1
         self._version += 1
 
     def remove_record(self, record_id: int) -> None:
@@ -251,8 +284,8 @@ class DominantGraph:
         restructuring (Section V maintenance) finish with
         :meth:`prune_empty_layers` once layer indices are stable.
         """
-        layer = self._layer_of.pop(record_id)
-        self._layers[layer].discard(record_id)
+        self._widths[self.layer_of(record_id)] -= 1
+        self._table[record_id] = -1
         self.drop_edges(record_id)
         self._parents.pop(record_id, None)
         self._children.pop(record_id, None)
@@ -269,23 +302,14 @@ class DominantGraph:
         old = self._pseudo_vectors.get(record_id)
         if old is None:
             raise ValueError(f"record {record_id} is not a pseudo record")
-        vector = np.asarray(vector, dtype=np.float64).copy()
-        if vector.shape != old.shape:
-            raise ValueError("pseudo vector shape mismatch")
-        if not np.all(np.isfinite(vector)):
-            raise ValueError("pseudo vectors must be finite (no NaN/inf)")
+        vector = self._frozen_pseudo_vector(vector)
         if np.any(vector < old):
             raise ValueError("pseudo vectors may only be raised, never lowered")
-        vector.setflags(write=False)
         self._pseudo_vectors[record_id] = vector
         self._version += 1
 
-    def add_pseudo_record(self, vector: np.ndarray) -> int:
-        """Register a pseudo record's vector and return its fresh id.
-
-        The record is *not* placed in a layer; callers follow up with
-        :meth:`place_record` / :meth:`prepend_layer`.
-        """
+    def _frozen_pseudo_vector(self, vector: np.ndarray) -> np.ndarray:
+        """A read-only float64 copy of ``vector``, checked for shape and NaN/inf."""
         vector = np.asarray(vector, dtype=np.float64).copy()
         if vector.shape != (self._dataset.dims,):
             raise ValueError(
@@ -295,9 +319,17 @@ class DominantGraph:
         if not np.all(np.isfinite(vector)):
             raise ValueError("pseudo vectors must be finite (no NaN/inf)")
         vector.setflags(write=False)
+        return vector
+
+    def add_pseudo_record(self, vector: np.ndarray) -> int:
+        """Register a pseudo record's vector and return its fresh id.
+
+        The record is *not* placed in a layer; callers follow up with
+        :meth:`place_record` / :meth:`prepend_layer`.
+        """
         pid = self._next_pseudo_id
+        self._pseudo_vectors[pid] = self._frozen_pseudo_vector(vector)
         self._next_pseudo_id += 1
-        self._pseudo_vectors[pid] = vector
         self._version += 1
         return pid
 
@@ -314,16 +346,7 @@ class DominantGraph:
             )
         if record_id in self._pseudo_vectors:
             raise ValueError(f"pseudo id {record_id} already registered")
-        vector = np.asarray(vector, dtype=np.float64).copy()
-        if vector.shape != (self._dataset.dims,):
-            raise ValueError(
-                f"pseudo vector must have shape ({self._dataset.dims},), "
-                f"got {vector.shape}"
-            )
-        if not np.all(np.isfinite(vector)):
-            raise ValueError("pseudo vectors must be finite (no NaN/inf)")
-        vector.setflags(write=False)
-        self._pseudo_vectors[record_id] = vector
+        self._pseudo_vectors[record_id] = self._frozen_pseudo_vector(vector)
         self._next_pseudo_id = max(self._next_pseudo_id, record_id + 1)
         self._version += 1
 
@@ -348,21 +371,6 @@ class DominantGraph:
         self._parents.setdefault(child, set()).add(parent)
         self._version += 1
 
-    def add_children(self, parent: int, children: Iterable[int]) -> None:
-        """Bulk edge insertion: link ``parent`` to every id in ``children``.
-
-        Equivalent to calling :meth:`add_edge` once per child, but updates
-        the parent's child set in one operation — the builder wires whole
-        dominance-matrix rows through this (one call per *parent* instead
-        of one per *edge*).
-        """
-        kids = [int(c) for c in children]
-        self._children.setdefault(parent, set()).update(kids)
-        parents = self._parents
-        for child in kids:
-            parents.setdefault(child, set()).add(parent)
-        self._version += 1
-
     def remove_edge(self, parent: int, child: int) -> None:
         """Remove one edge if present."""
         self._children.get(parent, set()).discard(child)
@@ -381,12 +389,12 @@ class DominantGraph:
 
     def prune_empty_layers(self) -> None:
         """Delete empty layers and compact the layer indices."""
-        if all(layer for layer in self._layers):
+        if all(self._widths):
             return
-        self._layers = [layer for layer in self._layers if layer]
-        for index, layer in enumerate(self._layers):
-            for rid in layer:
-                self._layer_of[rid] = index
+        compacted = np.cumsum(np.asarray(self._widths, dtype=np.intp) > 0) - 1
+        indexed = self._table >= 0
+        self._table[indexed] = compacted[self._table[indexed]]
+        self._widths = [width for width in self._widths if width]
         self._version += 1
 
     # ------------------------------------------------------------------
@@ -397,7 +405,7 @@ class DominantGraph:
 
         Checks:
 
-        1. layers partition the indexed ids; ``layer_of`` is consistent;
+        1. no layer is empty and the per-layer counts match the table;
         2. every edge connects consecutive layers and the parent dominates
            the child;
         3. no record dominates another inside one layer;
@@ -409,20 +417,16 @@ class DominantGraph:
            parenting follows cluster membership (Section IV-A), which is
            sound but intentionally sparse.
         """
-        seen: set = set()
-        for index, layer in enumerate(self._layers):
-            assert layer, f"layer {index} is empty (call prune_empty_layers)"
-            for rid in layer:
-                assert rid not in seen, f"record {rid} in two layers"
-                seen.add(rid)
-                assert self._layer_of[rid] == index, (
-                    f"layer_of[{rid}]={self._layer_of[rid]} but found in layer {index}"
-                )
-        assert seen == set(self._layer_of), "layer_of and layers disagree"
+        ids, layers = self.indexed_arrays()
+        counts = np.bincount(layers, minlength=self.num_layers).tolist()
+        assert counts == self._widths, "layer widths and the layer table disagree"
+        for index, width in enumerate(self._widths):
+            assert width, f"layer {index} is empty (call prune_empty_layers)"
+        layer_of = dict(zip(ids.tolist(), layers.tolist()))
 
         for parent, kids in self._children.items():
             for child in kids:
-                assert self._layer_of[child] == self._layer_of[parent] + 1, (
+                assert layer_of[child] == layer_of[parent] + 1, (
                     f"edge {parent}->{child} does not span consecutive layers"
                 )
                 assert dominates(self.vector(parent), self.vector(child)), (
@@ -437,10 +441,10 @@ class DominantGraph:
                     f"edge {parent}->{child} missing forward link"
                 )
 
-        for index, layer in enumerate(self._layers):
-            members = sorted(layer)
-            for i, a in enumerate(members):
-                for b in members[i + 1:]:
+        members = [self.layer_array(i).tolist() for i in range(self.num_layers)]
+        for index, layer in enumerate(members):
+            for i, a in enumerate(layer):
+                for b in layer[i + 1:]:
                     va, vb = self.vector(a), self.vector(b)
                     assert not dominates(va, vb) and not dominates(vb, va), (
                         f"records {a} and {b} dominate within layer {index}"
@@ -452,11 +456,11 @@ class DominantGraph:
                     )
 
         if check_layer_minimality:
-            for index in range(1, len(self._layers)):
-                above = sorted(self._layers[index - 1])
+            for index in range(1, len(members)):
+                above = members[index - 1]
                 if any(self.is_pseudo(p) for p in above):
                     continue  # pseudo boundaries use sparse cluster edges
-                for rid in self._layers[index]:
+                for rid in members[index]:
                     expected = {
                         p for p in above if dominates(self.vector(p), self.vector(rid))
                     }
@@ -495,7 +499,7 @@ class DominantGraph:
     # ------------------------------------------------------------------
     def layer_sizes(self) -> list:
         """Record count per layer, topmost first."""
-        return [len(layer) for layer in self._layers]
+        return list(self._widths)
 
     def statistics(self) -> dict:
         """Structural summary: sizes, fan-out, and width statistics.
@@ -505,17 +509,11 @@ class DominantGraph:
         ``mean_parents`` (over records below the top layer),
         ``max_parents``, and ``pseudo_levels`` (leading all-pseudo layers).
         """
+        from repro.core.pseudo import count_pseudo_levels
+
         sizes = self.layer_sizes()
-        below_top = [
-            rid for rid in self._layer_of if self._layer_of[rid] > 0
-        ]
+        below_top = np.flatnonzero(self._table > 0).tolist()
         parent_counts = [len(self._parents.get(rid, ())) for rid in below_top]
-        pseudo_levels = 0
-        for layer in self._layers:
-            if layer and all(self.is_pseudo(rid) for rid in layer):
-                pseudo_levels += 1
-            else:
-                break
         return {
             "records": len(self),
             "real_records": len(self) - self.num_pseudo,
@@ -528,7 +526,7 @@ class DominantGraph:
                 sum(parent_counts) / len(parent_counts) if parent_counts else 0.0
             ),
             "max_parents": max(parent_counts) if parent_counts else 0,
-            "pseudo_levels": pseudo_levels,
+            "pseudo_levels": count_pseudo_levels(self),
         }
 
     def __repr__(self) -> str:

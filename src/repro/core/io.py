@@ -149,35 +149,31 @@ def payload_from_graph(graph: DominantGraph) -> dict:
     (:mod:`repro.store.graphstore`) so both containers hold byte-for-byte
     the same payload and validate through the same pipeline.
     """
-    record_ids = list(graph.iter_records())
-    layer_of = [graph.layer_of(rid) for rid in record_ids]
+    ids, layers = graph.indexed_arrays()
+    order = np.lexsort((ids, layers))
+    record_ids = ids[order]
     # Two flat id lists, not one list of (parent, child) tuples: a tuple
     # per edge is thousands of live containers, enough to start dozens
     # of garbage collections inside every checkpoint — and whenever one
     # of them is a full collection, that checkpoint takes twice as long.
     edge_parents: list = []
     edge_children: list = []
-    for parent in record_ids:
+    for parent in record_ids.tolist():
         children = sorted(graph.children_of(parent))
         edge_parents.extend([parent] * len(children))
         edge_children.extend(children)
     edges = np.empty((len(edge_parents), 2), dtype=np.intp)
     edges[:, 0] = edge_parents
     edges[:, 1] = edge_children
-    pseudo_ids = [rid for rid in record_ids if graph.is_pseudo(rid)]
-    pseudo_vectors = (
-        np.vstack([graph.vector(rid) for rid in pseudo_ids])
-        if pseudo_ids
-        else np.empty((0, graph.dataset.dims), dtype=np.float64)
-    )
+    vectors, pseudo_mask = graph.rows_for(record_ids)
     return {
         "values": np.asarray(graph.dataset.values, dtype=np.float64),
         "attribute_names": np.asarray(graph.dataset.attribute_names, dtype=str),
-        "record_ids": np.asarray(record_ids, dtype=np.intp),
-        "layer_of": np.asarray(layer_of, dtype=np.intp),
+        "record_ids": record_ids,
+        "layer_of": layers[order],
         "edges": edges,
-        "pseudo_ids": np.asarray(pseudo_ids, dtype=np.intp),
-        "pseudo_vectors": np.asarray(pseudo_vectors, dtype=np.float64),
+        "pseudo_ids": record_ids[pseudo_mask],
+        "pseudo_vectors": vectors[pseudo_mask],
     }
 
 
@@ -352,17 +348,14 @@ def _validate_payload(payload: dict, path: str) -> None:
     layer_of = payload["layer_of"]
     if layer_of.shape != record_ids.shape:
         bad("layer_of", "length differs from record_ids")
-    ids = record_ids.tolist()
-    id_set = set(ids)
-    if len(id_set) != len(ids):
+    if np.unique(record_ids).size != record_ids.size:
         bad("record_ids", "duplicate record ids")
 
     pseudo_ids = payload["pseudo_ids"]
     pseudo_vectors = payload["pseudo_vectors"]
-    pseudo_set = set(pseudo_ids.tolist())
-    if len(pseudo_set) != pseudo_ids.shape[0]:
+    if np.unique(pseudo_ids).size != pseudo_ids.size:
         bad("pseudo_ids", "duplicate pseudo ids")
-    if not pseudo_set <= id_set:
+    if not np.isin(pseudo_ids, record_ids).all():
         bad("pseudo_ids", "pseudo id not among record_ids")
     if pseudo_vectors.shape != (pseudo_ids.shape[0], dims):
         bad(
@@ -373,43 +366,53 @@ def _validate_payload(payload: dict, path: str) -> None:
     if pseudo_vectors.size and not np.all(np.isfinite(pseudo_vectors)):
         bad("pseudo_vectors", "non-finite pseudo vector (NaN/inf)")
 
-    out_of_range = [
-        rid for rid in id_set - pseudo_set if not 0 <= rid < n
-    ]
-    if out_of_range:
+    real = record_ids[~np.isin(record_ids, pseudo_ids)]
+    out_of_range = real[(real < 0) | (real >= n)]
+    if out_of_range.size:
         bad(
             "record_ids",
             f"real record id {out_of_range[0]} outside dataset rows 0..{n - 1}",
         )
-    converted_out_of_range = [
-        rid for rid in pseudo_set if rid < 0
-    ]
-    if converted_out_of_range:
-        bad("pseudo_ids", f"negative pseudo id {converted_out_of_range[0]}")
+    if pseudo_ids.size and pseudo_ids.min() < 0:
+        bad("pseudo_ids", f"negative pseudo id {pseudo_ids.min()}")
+    # Pseudo ids are minted consecutively from len(dataset), fewer than
+    # len(dataset) of them per build, and the graph's layer table holds a
+    # slot per id — a wild id must not reach the allocator.
+    if pseudo_ids.size and pseudo_ids.max() >= 4 * n + 65536:
+        bad("pseudo_ids", f"implausibly large pseudo id {pseudo_ids.max()}")
 
     if record_ids.size:
-        layers = layer_of.tolist()
-        if min(layers) < 0:
+        if layer_of.min() < 0:
             bad("layer_of", "negative layer index")
-        present = set(layers)
-        if present != set(range(max(present) + 1)):
+        present = np.unique(layer_of)
+        if present[-1] != present.size - 1:
             bad("layer_of", "layer indices are not contiguous from 0")
 
     edges = payload["edges"]
+    if edges.shape[1] != 2:
+        bad("edges", f"expected (e, 2) parent, child rows, got {edges.shape}")
     if edges.size:
-        pairs = [tuple(edge) for edge in edges.tolist()]
-        if len(set(pairs)) != len(pairs):
+        by_pair = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+        if (by_pair[1:] == by_pair[:-1]).all(axis=1).any():
             bad("edges", "duplicate edges")
-        layer_map = dict(zip(ids, layer_of.tolist()))
-        for parent, child in pairs:
-            if parent not in id_set or child not in id_set:
-                dangling = parent if parent not in id_set else child
+        known = np.isin(edges, record_ids)
+        # Record ids are in range by now, so a table by id can hold the layers.
+        layer_at = np.zeros(int(record_ids.max(initial=0)) + 1, dtype=np.intp)
+        layer_at[record_ids] = layer_of
+        layers = layer_at[np.where(known, edges, 0)]
+        faulty = np.flatnonzero(
+            ~known.all(axis=1) | (layers[:, 1] != layers[:, 0] + 1)
+        )
+        if faulty.size:  # name the first offending edge, in file order
+            row = faulty[0]
+            parent, child = edges[row].tolist()
+            if not known[row].all():
+                dangling = child if known[row, 0] else parent
                 bad("edges", f"dangling edge endpoint {dangling}")
-            if layer_map[child] != layer_map[parent] + 1:
-                bad(
-                    "edges",
-                    f"edge {parent}->{child} does not span consecutive layers",
-                )
+            bad(
+                "edges",
+                f"edge {parent}->{child} does not span consecutive layers",
+            )
 
 
 def _construct(payload: dict, path: str) -> DominantGraph:
@@ -430,12 +433,11 @@ def _construct(payload: dict, path: str) -> DominantGraph:
                 graph.convert_to_pseudo(int(pid))
             else:
                 graph.register_pseudo_record(int(pid), vector)
-        for rid, layer in zip(
-            payload["record_ids"].tolist(), payload["layer_of"].tolist()
-        ):
-            graph.place_record(int(rid), int(layer))
-        for parent, child in payload["edges"].tolist():
-            graph.add_edge(int(parent), int(child))
+        graph._adopt(
+            payload["record_ids"].astype(np.intp, copy=False),
+            payload["layer_of"].astype(np.intp, copy=False),
+            payload["edges"].astype(np.intp, copy=False),
+        )
     except (KeyError, ValueError, IndexError) as exc:
         raise IndexCorruptionError(
             f"index reconstruction failed: {exc}", path=path
@@ -482,8 +484,7 @@ def load_graph(
         version = _negotiate_version(payload, path)
         if version >= 2:
             _verify_manifest(payload, path)
-        _validate_payload(payload, path)
-        graph = _construct(payload, path)
+        graph = graph_from_payload(payload, path)
     except IndexCorruptionError as exc:
         if not repair:
             raise

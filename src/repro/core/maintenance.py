@@ -23,6 +23,13 @@ itself — then edges are rebuilt for every moved record.  Both operations
 stay within the paper's O(|D|^2) bound and are validated in the test suite
 by equivalence to a from-scratch rebuild.
 
+Both read the graph's layer table as arrays: an insert takes its two
+one-vs-many tests from one per-dimension sweep over ``dataset.values``
+under ``table >= 0`` — O(len(dataset)) rather than O(indexed) — and the
+cascade and the edge repair work on slices of it; no id set is turned
+back into an array on the way (``docs/performance.md``, "What a write
+costs").
+
 Extended DGs (with pseudo levels) are maintained too, per the paper
 ("suitable for both DG and Extended DG"): a record arriving at the first
 real layer without a pseudo parent raises the nearest bottom-level pseudo
@@ -41,6 +48,7 @@ import numpy as np
 
 from repro.core.compiled import CompiledDG
 from repro.core.dominance import (
+    _weak_dominance,
     dominance_matrix,
     dominated_by,
     dominates,
@@ -55,28 +63,15 @@ from repro.errors import InvariantViolation
 # ----------------------------------------------------------------------
 # Shared helpers
 # ----------------------------------------------------------------------
-def _indexed_snapshot(graph: DominantGraph) -> tuple:
-    """Ids, layer indices, and value matrix of everything currently indexed.
-
-    All three arrays are parallel; order is the graph's placement order.
-    """
-    ids, layers = graph.indexed_arrays()
-    return ids, layers, graph.rows_for(ids)[0]
-
-
-def _layer_block(graph: DominantGraph, index: int) -> tuple:
-    """Sorted id array and aligned vectors of one layer (vectorized fetch)."""
-    ids = graph.layer_array(index)
-    return ids, graph.rows_for(ids)[0]
-
-
 def _rebuild_edges(graph: DominantGraph, record_ids) -> None:
     """Recompute all edges incident to the given records.
 
     Assumes every record is already sitting in its final layer.  Edges are
     symmetric sets, so records moved next to each other are wired once.
     Neighbouring layer blocks are cached per layer index, since moved
-    records cluster in few layers.
+    records cluster in few layers: a slice of the dataset's own matrix,
+    unless the graph holds pseudo records, which own their vectors (a
+    converted one may have been raised above its row).
     """
     for rid in record_ids:
         graph.drop_edges(rid)
@@ -84,20 +79,24 @@ def _rebuild_edges(graph: DominantGraph, record_ids) -> None:
 
     def block_for(index: int) -> tuple:
         if index not in blocks:
-            blocks[index] = _layer_block(graph, index)
+            ids = graph.layer_array(index)
+            if graph.num_pseudo:
+                blocks[index] = ids, graph.rows_for(ids)[0]
+            else:
+                blocks[index] = ids, graph.dataset.values.take(ids, axis=0)
         return blocks[index]
 
     for rid in record_ids:
         layer = graph.layer_of(rid)
         vector = graph.vector(rid)
-        if layer > 0 and graph.layer_width(layer - 1):
+        if layer > 0:
             above, above_block = block_for(layer - 1)
-            for pos in np.flatnonzero(dominators_of(vector, above_block)):
-                graph.add_edge(int(above[pos]), rid)
-        if layer + 1 < graph.num_layers and graph.layer_width(layer + 1):
+            for parent in above[dominators_of(vector, above_block)].tolist():
+                graph.add_edge(parent, rid)
+        if layer + 1 < graph.num_layers:
             below, below_block = block_for(layer + 1)
-            for pos in np.flatnonzero(dominated_by(vector, below_block)):
-                graph.add_edge(rid, int(below[pos]))
+            for child in below[dominated_by(vector, below_block)].tolist():
+                graph.add_edge(rid, child)
 
 
 # ----------------------------------------------------------------------
@@ -221,17 +220,6 @@ def _reattach_pseudo_parent(graph: DominantGraph, record_id: int) -> None:
     )
 
 
-def _collect_childless_pseudo(graph: DominantGraph) -> list:
-    """Pseudo records with no children (useless parents, GC candidates).
-
-    Sweeps only the pseudo ids — a handful per graph — instead of every
-    indexed record, so deletion GC stays O(pseudo) per pass.
-    """
-    return [
-        rid for rid in graph.pseudo_ids() if not graph.children_of(rid)
-    ]
-
-
 # ----------------------------------------------------------------------
 # Insertion (paper Algorithm 4, corrected layer rule)
 # ----------------------------------------------------------------------
@@ -245,67 +233,66 @@ def insert_record(graph: DominantGraph, record_id: int) -> int:
     Complexity: O(|D| * |affected|) dominance work plus edge rebuilding for
     moved records — within the paper's O(|D|^2) worst case.
     """
+    values = graph.dataset.values
+    size = values.shape[0]
     if record_id in graph:
         raise ValueError(f"record {record_id} is already indexed")
-    if not 0 <= record_id < len(graph.dataset):
+    if not 0 <= record_id < size:
         raise IndexError(f"record {record_id} is not a dataset row")
-    vector = graph.dataset.vector(record_id)
+    vector = values[record_id]
 
     _repair_pseudo_cover(graph, vector)
     pseudo_levels = count_pseudo_levels(graph)
 
-    id_array, layer_array, vectors = _indexed_snapshot(graph)
-
-    if id_array.size:
-        dominator_mask = dominators_of(vector, vectors)
-    else:
-        dominator_mask = np.zeros(0, dtype=bool)
-    if dominator_mask.any():
-        target = int(layer_array[dominator_mask].max()) + 1
-    else:
-        target = 0
-    target = max(target, pseudo_levels)
-
+    # Both one-vs-many tests from one sweep over the dataset's own rows,
+    # read under the layer table (aligned with them): O(len(dataset))
+    # rather than O(indexed), with no id set or gathered copy in between.
+    # Pseudo records (a handful) own their vectors and are tested apart.
+    table = graph._table
+    ge, le = _weak_dominance(vector, values)
+    indexed = table[:size] >= 0
+    pseudo = np.asarray(graph.pseudo_ids(), dtype=np.intp)
+    indexed[pseudo[pseudo < size]] = False
+    dominator_layers = table[:size][ge & ~le & indexed]
     # Affected set: everything the new record dominates can gain a longer
     # chain (by at most one hop through the new record).
-    if id_array.size:
-        affected_mask = dominated_by(vector, vectors)
-    else:
-        affected_mask = np.zeros(0, dtype=bool)
-    affected_ids = id_array[affected_mask]
-    affected_layers = layer_array[affected_mask]
-    affected_vectors = vectors[affected_mask]
+    affected_ids = np.flatnonzero(le & ~ge & indexed)
+    affected_vectors = values.take(affected_ids, axis=0)
+    if pseudo.size:
+        pseudo_block = graph.rows_for(pseudo)[0]
+        above = pseudo[dominators_of(vector, pseudo_block)]
+        dominator_layers = np.concatenate([dominator_layers, table[above]])
+        below = dominated_by(vector, pseudo_block)
+        affected_ids = np.concatenate([affected_ids, pseudo[below]])
+        affected_vectors = np.vstack([affected_vectors, pseudo_block[below]])
+    affected_layers = table[affected_ids]
+
+    target = max(int(dominator_layers.max(initial=-1)) + 1, pseudo_levels)
     graph.place_record(record_id, target)
 
-    new_layer = {record_id: target}
-    moved = [record_id]
     # Insertion shifts any layer by at most one: every dominator of the
     # new record also dominates whatever the new record dominates, so an
     # affected record's old layer is already >= target, and it moves down
     # exactly one layer iff a *mover into its own layer* dominates it —
     # the new record itself, or a cascade of previously bumped records.
-    # Processing old layers upward from `target` therefore needs one
-    # movers-vs-residents dominance matrix per layer, nothing per record.
-    movers_into: dict = {target: [vector]}
-    for layer in np.unique(affected_layers):
-        layer = int(layer)
-        arrivals = movers_into.get(layer)
-        if not arrivals:
-            continue
-        arrival_block = np.vstack(arrivals)
+    # Walking old layers downward from `target` therefore needs one
+    # movers-vs-residents dominance matrix per layer, nothing per record,
+    # and stops at the first layer nothing is bumped out of.
+    moved = [record_id]
+    arrivals = vector[None, :]
+    layer = target
+    while arrivals.shape[0]:
         sel = affected_layers == layer
-        residents = affected_ids[sel]
+        if not sel.any():
+            break
         block = affected_vectors[sel]
-        bumped = dominance_matrix(arrival_block, block).any(axis=0)
-        for row in np.flatnonzero(bumped):
-            t = int(residents[row])
-            new_layer[t] = layer + 1
+        bumped = dominance_matrix(arrivals, block).any(axis=0)
+        layer += 1
+        for t in affected_ids[sel][bumped].tolist():
+            graph.move_record(t, layer)
             moved.append(t)
-            movers_into.setdefault(layer + 1, []).append(block[row])
+        arrivals = block[bumped]
 
-    for t in moved:
-        if t != record_id and graph.layer_of(t) != new_layer[t]:
-            graph.move_record(t, new_layer[t])
     _rebuild_edges(graph, moved)
     graph.prune_empty_layers()
     return graph.layer_of(record_id)
@@ -377,9 +364,10 @@ def delete_record(graph: DominantGraph, record_id: int) -> None:
     for t in needs_cover:
         _reattach_pseudo_parent(graph, t)
 
-    # Garbage-collect pseudo parents left childless, cascading upward.
+    # Garbage-collect pseudo parents left childless, cascading upward; each
+    # pass sweeps only the pseudo ids, a handful per graph.
     while True:
-        childless = _collect_childless_pseudo(graph)
+        childless = [p for p in graph.pseudo_ids() if not graph.children_of(p)]
         if not childless:
             break
         for pid in childless:

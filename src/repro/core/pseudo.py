@@ -166,6 +166,8 @@ def count_pseudo_levels(graph: DominantGraph) -> int:
     This is the offset at which real layers start — maintenance needs it to
     know where a record with no real dominator belongs.
     """
+    if not graph.num_pseudo:
+        return 0  # the common case, without materialising the top layer
     levels = 0
     for index in range(graph.num_layers):
         layer = graph.layer(index)

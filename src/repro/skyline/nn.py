@@ -56,7 +56,9 @@ def nn_skyline(values: np.ndarray, rtree: RTree | None = None) -> np.ndarray:
         rtree = RTree.bulk_load(values)
 
     corner = values.max(axis=0)
-    base_low = values.min(axis=0) - 1.0  # strictly below every record
+    # Strictly below every record: the next float down, since ``min - 1.0``
+    # is not below 1e16 in float64.
+    base_low = np.nextafter(values.min(axis=0), -np.inf)
 
     candidates: set = set()
     todo: list = [base_low]

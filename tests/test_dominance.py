@@ -76,6 +76,39 @@ class TestVectorizedForms:
         assert dominators_of(point, np.empty((0, 2))).shape == (0,)
         assert dominated_by(point, np.empty((0, 2))).shape == (0,)
 
+    @staticmethod
+    def assert_one_vs_many_pairwise(point, block):
+        above, below = dominators_of(point, block), dominated_by(point, block)
+        assert above.dtype == bool and above.shape == (block.shape[0],)
+        assert below.dtype == bool and below.shape == (block.shape[0],)
+        for i, row in enumerate(block):
+            assert above[i] == dominates(row, point), i
+            assert below[i] == dominates(point, row), i
+
+    @pytest.mark.parametrize("dims", range(1, 7))
+    def test_one_vs_many_pairwise_with_equal_rows(self, rng, dims):
+        # A coarse grid with the point itself planted in the block: equal
+        # rows and rows equal in all but one dimension.
+        block = rng.integers(0, 3, size=(40, dims)).astype(np.float64)
+        point = block[7].copy()
+        self.assert_one_vs_many_pairwise(point, block)
+        self.assert_one_vs_many_pairwise(point, block[:1])  # a 1-row block
+        self.assert_one_vs_many_pairwise(point, block[:0])  # an empty one
+
+    def test_one_vs_many_with_float_sums_tied_at_1e16(self):
+        block = np.array([[1e16, 0.25], [1e16, 0.5], [1e16 + 2, 0.0], [1e16, 0.5]])
+        for point in block:
+            self.assert_one_vs_many_pairwise(point, block)
+
+    def test_one_vs_many_takes_strided_views(self, rng):
+        values = rng.integers(0, 4, size=(30, 6)).astype(np.float64)
+        block, point = values[::2, ::2], values[3, ::2]
+        assert not block.flags.c_contiguous
+        self.assert_one_vs_many_pairwise(point, block)
+        np.testing.assert_array_equal(
+            dominators_of(point, block), dominators_of(point.copy(), block.copy())
+        )
+
     def test_dominance_matrix_empty_upper(self):
         matrix = dominance_matrix(np.empty((0, 2)), np.ones((3, 2)))
         assert matrix.shape == (0, 3)

@@ -107,17 +107,6 @@ class TestMutation:
         graph.add_edge(4, 2)
         assert 2 in graph.children_of(4)
 
-    def test_add_children_bulk_equals_per_edge(self):
-        # parent 0 = (5,5) dominates both layer-2 records (1,2) and (2,1).
-        graph = build_dominant_graph(Dataset([[5.0, 5.0], [1.0, 2.0], [2.0, 1.0]]))
-        assert graph.children_of(0) == frozenset({1, 2})
-        graph.drop_edges(0)
-        graph.add_children(0, [1, 2])
-        assert graph.children_of(0) == frozenset({1, 2})
-        assert graph.parents_of(1) == frozenset({0})
-        assert graph.parents_of(2) == frozenset({0})
-        graph.validate()
-
     def test_version_bumps_on_mutation(self, graph):
         before = graph.version
         graph.remove_edge(4, 2)
@@ -140,6 +129,82 @@ class TestMutation:
         graph.prune_empty_layers()
         assert graph.num_layers == 3
         assert graph.layer_of(3) == 2
+
+
+class TestLayerTable:
+    """Layer membership lives in one table indexed by record id."""
+
+    @staticmethod
+    def assert_consistent(graph):
+        """Every accessor tells the same story as ``layers()``."""
+        layers = graph.layers()
+        assert [len(layer) for layer in layers] == graph.layer_sizes()
+        assert len(graph) == sum(graph.layer_sizes())
+        ids, layer_index = graph.indexed_arrays()
+        assert ids.tolist() == sorted(set().union(*layers))
+        for index, layer in enumerate(layers):
+            assert graph.layer(index) == layer
+            assert graph.layer_array(index).tolist() == sorted(layer)
+            assert graph.layer_width(index) == len(layer)
+            for rid in layer:
+                assert rid in graph and graph.layer_of(rid) == index
+        assert dict(zip(ids.tolist(), layer_index.tolist())) == {
+            rid: index for index, layer in enumerate(layers) for rid in layer
+        }
+        graph.validate()
+
+    def test_contains_is_false_outside_the_table(self, graph, small_dataset):
+        assert -1 not in graph
+        assert len(small_dataset) + 10**6 not in graph
+        with pytest.raises(KeyError):
+            graph.layer_of(-1)
+        with pytest.raises(KeyError):
+            graph.layer_of(len(small_dataset) + 10**6)
+
+    def test_layer_of_returns_a_python_int(self, graph):
+        assert type(graph.layer_of(3)) is int
+
+    def test_layer_accessors_keep_list_semantics(self, graph):
+        assert isinstance(graph.layer(0), frozenset)
+        assert all(isinstance(layer, frozenset) for layer in graph.layers())
+        assert graph.layer(-1) == graph.layer(graph.num_layers - 1)
+        with pytest.raises(IndexError):
+            graph.layer(graph.num_layers)
+
+    def test_place_record_rejects_a_negative_id(self, graph):
+        with pytest.raises(ValueError, match="negative"):
+            graph.place_record(-1, 0)
+
+    def test_pseudo_ids_past_the_table_grow_it(self, graph, small_dataset):
+        n = len(small_dataset)
+        pids = [graph.add_pseudo_record(np.array([9.0, 9.0])) for _ in range(40)]
+        assert pids[-1] == n + 39 and pids[-1] not in graph
+        graph.prepend_layer(pids[:1])
+        graph.place_record(pids[-1], 0)  # far past the first doubling
+        for rid in sorted(graph.layer(1)):
+            graph.add_edge(pids[0], rid)
+        assert pids[-1] in graph and pids[1] not in graph
+        assert graph.layer(0) == frozenset({pids[0], pids[-1]})
+        assert graph.layer_of(0) == 1
+        self.assert_consistent(graph)
+
+    def test_prepend_prune_and_remove_stay_consistent(self, graph):
+        self.assert_consistent(graph)
+        pid = graph.add_pseudo_record(np.array([99.0, 99.0]))
+        graph.prepend_layer([pid])
+        for rid in (0, 1, 4):
+            graph.add_edge(pid, rid)
+        assert graph.layer_sizes() == [1, 3, 2, 1]
+        self.assert_consistent(graph)
+        graph.remove_record(3)  # empties the last layer
+        assert 3 not in graph and graph.layer_sizes() == [1, 3, 2, 0]
+        graph.prune_empty_layers()
+        assert graph.layer_sizes() == [1, 3, 2]
+        self.assert_consistent(graph)
+        graph.remove_record(pid)  # empties the first: indices shift down
+        graph.prune_empty_layers()
+        assert graph.layer_sizes() == [3, 2] and graph.layer_of(2) == 1
+        self.assert_consistent(graph)
 
 
 class TestPseudoRecords:

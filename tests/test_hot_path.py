@@ -1,4 +1,4 @@
-"""Deterministic ratchets on the read and build paths' bookkeeping.
+"""Deterministic ratchets on the read, build and write paths' bookkeeping.
 
 The kernel's arithmetic is a small part of a served read; what is left
 is Python-level bookkeeping, and the cheapest stable proxy for it is how
@@ -7,7 +7,8 @@ over uncached ``ServingIndex.query`` reads and filtered to functions
 defined under ``src/repro/``, the figure involves no clock, so it does
 not move with the host or the numpy build — only with the code.  The
 same count over one ``build_dominant_graph`` keeps per-record and
-per-parent Python loops out of the build.
+per-parent Python loops out of the build, and over ``insert_record``
+keeps set-to-array round trips out of a write.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 import repro
 from repro.core.builder import build_dominant_graph
 from repro.core.functions import LinearFunction
+from repro.core.maintenance import insert_record
 from repro.data.generators import uniform
 from repro.serve import ServingIndex
 
@@ -34,12 +36,18 @@ MAX_CALLS_PER_READ = 55
 BUILD_RECORDS = 2500
 
 #: Calls into ``src/repro`` one build of ``BUILD_RECORDS`` records may
-#: make.  Placement takes two per record (``place_record`` and the
-#: ``ensure_layers`` inside it); the blocked pass and the wiring took
-#: about 500 more when this was written.  Peeling with one
-#: ``dominators_of`` call per candidate made 22,890 on the same input, and
-#: one ``add_children`` call per parent would add 1,637.
-MAX_CALLS_PER_BUILD = 2 * BUILD_RECORDS + 1000
+#: make: 504 when this was written, none of them per record.  Placing
+#: records one ``place_record`` at a time made 5,500 on the same input,
+#: and peeling with one ``dominators_of`` call per candidate 22,890.
+MAX_CALLS_PER_BUILD = 700
+
+INSERTS = 50
+
+#: Calls into ``src/repro`` one ``insert_record`` may make: 116 when this
+#: was written, 24 of them ``add_edge`` (edges are maintained eagerly).
+#: The dict-of-sets graph made 145, with 4.4 ``numpy.fromiter`` calls and
+#: 3.4 ``rows_for`` gathers per insert turning id sets back into arrays.
+MAX_CALLS_PER_INSERT = 125
 
 
 def package_calls(profiler: cProfile.Profile) -> int:
@@ -52,6 +60,15 @@ def package_calls(profiler: cProfile.Profile) -> int:
     )
 
 
+def calls_named(profiler: cProfile.Profile, name: str) -> int:
+    """Calls the profile recorded into functions called ``name``, anywhere."""
+    return sum(
+        entry[1]
+        for (_filename, _line, function), entry in pstats.Stats(profiler).stats.items()
+        if name in function
+    )
+
+
 def test_build_makes_few_package_calls():
     dataset = uniform(BUILD_RECORDS, 4, seed=5)
     profiler = cProfile.Profile()
@@ -61,6 +78,22 @@ def test_build_makes_few_package_calls():
     assert len(graph) == BUILD_RECORDS and graph.num_layers == 14
     calls = package_calls(profiler)
     assert calls <= MAX_CALLS_PER_BUILD, calls
+
+
+def test_insert_makes_few_package_calls_and_no_round_trips():
+    dataset = uniform(BUILD_RECORDS, 4, seed=5)
+    first = BUILD_RECORDS - 100
+    graph = build_dominant_graph(dataset, record_ids=range(first))
+    profiler = cProfile.Profile()
+    profiler.enable()
+    for record_id in range(first, first + INSERTS):
+        insert_record(graph, record_id)
+    profiler.disable()
+    assert len(graph) == first + INSERTS
+    assert calls_named(profiler, "fromiter") == 0
+    assert calls_named(profiler, "rows_for") == 0
+    calls = package_calls(profiler)
+    assert calls / INSERTS <= MAX_CALLS_PER_INSERT, calls / INSERTS
 
 
 def test_uncached_read_makes_few_package_calls(tmp_path):

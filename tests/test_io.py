@@ -9,9 +9,15 @@ from repro.core.advanced import AdvancedTraveler
 from repro.core.builder import build_dominant_graph, build_extended_graph
 from repro.core.functions import LinearFunction
 from repro.core.graph import DominantGraph
-from repro.core.io import load_graph, payload_from_graph, save_graph
-from repro.core.maintenance import delete_record, insert_record
+from repro.core.io import (
+    graph_from_payload,
+    load_graph,
+    payload_from_graph,
+    save_graph,
+)
+from repro.core.maintenance import delete_record, insert_record, mark_deleted
 from repro.data.generators import all_skyline, uniform
+from repro.errors import IndexCorruptionError
 
 
 class TestRoundTrip:
@@ -126,6 +132,89 @@ class TestPayload:
         finally:
             gc.callbacks.remove(count)
         assert len(collections) <= 1
+
+
+class TestBulkLoad:
+    """The loader adopts arrays; it must build what per-record calls did."""
+
+    @staticmethod
+    def maintained_graph():
+        dataset = all_skyline(120, 3, seed=4)
+        graph = build_extended_graph(dataset, theta=8, record_ids=range(100))
+        for rid in range(100, 120):
+            insert_record(graph, rid)
+        for rid in range(0, 30):
+            delete_record(graph, rid)
+        mark_deleted(graph, 40)
+        return graph
+
+    def test_round_trip_equals_the_maintained_graph(self):
+        graph = self.maintained_graph()
+        loaded = graph_from_payload(payload_from_graph(graph), "memory")
+        loaded.validate()
+        assert loaded.layers() == graph.layers()
+        assert loaded.layer_sizes() == graph.layer_sizes()
+        assert loaded.pseudo_ids() == graph.pseudo_ids()
+        for rid in graph.iter_records():
+            assert loaded.layer_of(rid) == graph.layer_of(rid)
+            assert loaded.parents_of(rid) == graph.parents_of(rid)
+            assert loaded.children_of(rid) == graph.children_of(rid)
+            np.testing.assert_array_equal(loaded.vector(rid), graph.vector(rid))
+        # And serializing the loaded graph gives the same arrays back.
+        again = payload_from_graph(loaded)
+        for name, array in payload_from_graph(graph).items():
+            assert again[name].dtype == array.dtype, name
+            np.testing.assert_array_equal(again[name], array)
+
+    def corrupted(self, mutate):
+        payload = payload_from_graph(self.maintained_graph())
+        mutate(payload)
+        with pytest.raises(IndexCorruptionError) as caught:
+            graph_from_payload(payload, "memory")
+        assert caught.value.array == "edges"
+        return caught.value.reason
+
+    def test_duplicate_edge_is_named(self):
+        def mutate(payload):
+            payload["edges"] = np.vstack([payload["edges"], payload["edges"][5:6]])
+
+        assert self.corrupted(mutate) == "duplicate edges"
+
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_first_dangling_endpoint_is_named(self, column):
+        def mutate(payload):
+            edges = payload["edges"].copy()
+            edges[3, column] = 99_999  # not a record id
+            edges[9, 1 - column] = 88_888  # a later one must not be named
+            payload["edges"] = edges
+
+        assert self.corrupted(mutate) == "dangling edge endpoint 99999"
+
+    def test_first_non_consecutive_edge_is_named(self):
+        def mutate(payload):
+            layer_of = dict(
+                zip(payload["record_ids"].tolist(), payload["layer_of"].tolist())
+            )
+            top = [rid for rid, layer in layer_of.items() if layer == 0]
+            deep = [rid for rid, layer in layer_of.items() if layer == 2]
+            edges = payload["edges"].copy()
+            edges[4] = [top[0], deep[0]]
+            edges[8] = [deep[0], top[0]]  # a later one must not be named
+            payload["edges"] = edges
+            self.expected = (
+                f"edge {top[0]}->{deep[0]} does not span consecutive layers"
+            )
+
+        assert self.corrupted(mutate) == self.expected
+
+    def test_wild_pseudo_id_is_refused_before_any_allocation(self):
+        payload = payload_from_graph(self.maintained_graph())
+        wild = 2**40
+        minted = payload["pseudo_ids"].max()
+        for name in ("record_ids", "pseudo_ids", "edges"):
+            payload[name] = np.where(payload[name] == minted, wild, payload[name])
+        with pytest.raises(IndexCorruptionError, match="implausibly large pseudo id"):
+            graph_from_payload(payload, "memory")
 
 
 class TestRegisterPseudo:

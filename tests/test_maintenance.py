@@ -9,6 +9,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.builder import build_dominant_graph, build_extended_graph
 from repro.core.dataset import Dataset
@@ -261,6 +263,68 @@ class TestExtendedGraphMaintenance:
                 np.testing.assert_allclose(
                     sorted(result.scores, reverse=True), expected
                 )
+
+
+#: One maintenance step: which operation, and which candidate it picks.
+STEPS = st.lists(
+    st.tuples(st.sampled_from(["insert", "delete", "mark"]), st.integers(0, 10**6)),
+    min_size=1,
+    max_size=24,
+)
+
+
+class TestMaintenanceSequences:
+    """Any sequence of operations, checked after every step."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), steps=STEPS)
+    def test_plain_graph_equals_rebuild_after_every_step(self, seed, steps):
+        # A coarse grid: duplicates and ties in every dimension.
+        values = np.random.default_rng(seed).integers(0, 4, size=(28, 3))
+        dataset = Dataset(values.astype(np.float64))
+        graph = build_dominant_graph(dataset, record_ids=range(14))
+        pending = list(range(14, 28))
+        for op, pick in steps:
+            live = sorted(graph.real_ids())
+            if op == "insert" and pending:
+                insert_record(graph, pending.pop(pick % len(pending)))
+            elif op == "delete" and len(live) > 1:
+                delete_record(graph, live[pick % len(live)])
+            else:
+                continue
+            assert_equal_to_rebuild(graph, dataset)
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=STEPS)
+    def test_extended_graph_answers_like_a_scan_after_every_step(self, steps):
+        dataset = uniform(44, 3, seed=11)
+        graph = build_extended_graph(dataset, theta=2, record_ids=range(30))
+        pending = list(range(30, 44))
+        f = LinearFunction([0.5, 0.3, 0.2])
+        # Both kinds of pseudo record live from the start: minted ids past
+        # the dataset, and a converted id below it.
+        assert max(graph.pseudo_ids()) >= len(dataset)
+        mark_deleted(graph, 0)
+        for op, pick in steps:
+            live = sorted(graph.real_ids())
+            if op == "insert" and pending:
+                insert_record(graph, pending.pop(pick % len(pending)))
+            elif op == "delete" and live:
+                delete_record(graph, live[pick % len(live)])
+            elif op == "mark" and live:
+                mark_deleted(graph, live[pick % len(live)])
+            else:
+                continue
+            graph.validate()
+            survivors = sorted(graph.real_ids())
+            expected = sorted(
+                f.score_many(dataset.values[survivors]), reverse=True
+            )[:5]
+            result = AdvancedTraveler(graph).top_k(f, 5)
+            assert set(result.ids) <= set(survivors)
+            np.testing.assert_allclose(
+                sorted(result.scores, reverse=True), expected
+            )
 
 
 class TestServerWorkload:

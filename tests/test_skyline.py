@@ -64,14 +64,16 @@ def test_total_order(name):
     assert list(ALGORITHMS[name](values)) == [7]
 
 
-@pytest.mark.parametrize("name", sorted(set(ALGORITHMS) - {"nn"}))
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
 def test_dominator_with_an_equal_float_sum(name):
     # 1e16 + 0.25 == 1e16 + 0.5 in float64; the sort-filter order (and the
-    # algorithms that finish with it) must still visit the dominator first.
-    # NN is left out: its "strictly below every record" corner, min - 1.0,
-    # is not below 1e16 in float64 — a separate defect of that routine.
-    values = np.array([[1e16, 0.25], [1e16, 0.5]])
-    assert list(ALGORITHMS[name](values)) == [1]
+    # algorithms that finish with it) must still visit the dominator first,
+    # and NN's "strictly below every record" corner must be below 1e16.
+    for values, expected in (
+        ([[1e16, 0.25], [1e16, 0.5]], [1]),
+        ([[1e16, 1.0], [1e16, 2.0], [1e16 + 2, 0.0]], [1, 2]),
+    ):
+        assert sorted(ALGORITHMS[name](np.array(values))) == expected
 
 
 def test_as_mask_function(rng):
