@@ -27,9 +27,17 @@ chunk's: the first chunk contains layer 1 and with it the top-1 answer,
 so a whole-chunk maximum could never retire a query there.
 
 Most reads retire in that first chunk, on a snapshot with nothing to
-mask, so the sweep (:func:`_sweep`) keeps its active-query index and
-answerable mask ``None`` until a query retires or a row is masked: such
-a read costs one score pass and one partition — no gathers, no masks.
+mask, so the sweep (:func:`_sweep`) does nothing such a read does not
+need: the chunk schedule is walked once per snapshot and cached on it
+(:meth:`CompiledDG._chunk_schedule`), the active-query index and the
+answerable mask stay ``None`` until a query retires early or a row is
+masked, and the running top-k is allocated only if a second chunk has to
+be merged into it.  Such a read costs one score pass and one partition —
+no gathers, no masks, no ``-inf`` fills — then one float64 re-check of
+the few rows the float32 threshold lets through and one ``lexsort`` of
+them (:func:`_select_exact` ranks a pool that small whole).  A live
+overlay adds its delta rows to that same pool, so a base+delta read
+still ranks once and builds one result (:func:`_batch_top_k`).
 
 Two scoring lanes
 -----------------
@@ -144,6 +152,9 @@ _CHUNK_MIN_ROWS = 1024
 #: store files (:mod:`repro.store`) are this tuple, not copies of it.
 SNAPSHOT_FIELDS = ("values", "record_ids", "layer_index", "pseudo_mask")
 
+#: One chunk of the sweep: dense rows ``[lo, hi)``, last layer ``[tail, hi)``.
+_ChunkEdges = Tuple[int, int, int]
+
 
 class CompiledDG:
     """Immutable flat-array snapshot of a :class:`DominantGraph`.
@@ -191,6 +202,7 @@ class CompiledDG:
             "tuple[np.ndarray | None, np.ndarray | None] | None"
         ) = None
         self._chunk_ids_cache: "dict[tuple[int, int], np.ndarray]" = {}
+        self._chunk_schedule_cache: "dict[int, tuple[_ChunkEdges, ...]]" = {}
         for name in SNAPSHOT_FIELDS:
             getattr(self, name).setflags(write=False)
 
@@ -370,6 +382,21 @@ class CompiledDG:
             self._chunk_ids_cache[lo, hi] = ids
         return ids
 
+    def _chunk_schedule(self, k: int) -> "tuple[_ChunkEdges, ...]":
+        """The sweep's ``(lo, hi, tail)`` chunks for ``k`` (cached).
+
+        :func:`_iter_chunks` over :meth:`layer_bounds`, walked once per
+        first-chunk target instead of once per read: every
+        ``k <= _CHUNK_MIN_ROWS`` shares one entry, a deeper ``k`` adds a
+        handful of tuples of its own.
+        """
+        target = max(int(k), _CHUNK_MIN_ROWS)
+        schedule = self._chunk_schedule_cache.get(target)
+        if schedule is None:
+            schedule = tuple(_iter_chunks(self.layer_bounds(), k))
+            self._chunk_schedule_cache[target] = schedule
+        return schedule
+
     def top_k(
         self,
         function: ScoringFunction,
@@ -391,15 +418,16 @@ class CompiledDG:
         is checked between layer chunks and ``exclude`` masks dense rows
         out of the answer set (see :func:`batch_top_k`).
         """
-        (result,) = batch_top_k(
+        (result,) = _batch_top_k(
             self,
             [function],
             k,
-            where=where,
-            stats=None if stats is None else [stats],
-            algorithm=algorithm,
-            deadline=deadline,
-            exclude=exclude,
+            where,
+            None if stats is None else [stats],
+            algorithm,
+            deadline,
+            exclude,
+            None,
         )
         return result
 
@@ -555,9 +583,7 @@ def _f32_round_down(value: float) -> np.float32:
     return rounded
 
 
-def _iter_chunks(
-    bounds: np.ndarray, k: int
-) -> Iterator["tuple[int, int, int]"]:
+def _iter_chunks(bounds: np.ndarray, k: int) -> Iterator[_ChunkEdges]:
     """Yield ``(lo, hi, tail)`` dense-row chunks aligned to layer boundaries.
 
     Consecutive layers are merged until a chunk holds at least
@@ -615,17 +641,24 @@ def _chunk_answerable(
     return block
 
 
+#: A pool at most this much larger than ``k`` is ranked whole: after the
+#: fast lane's float32 threshold that is the normal case, and one
+#: ``lexsort`` of k + 64 rows is cheaper than partitioning them first.
+_RANK_WHOLE_SLACK = 64
+
+
 def _select_exact(
     ids: np.ndarray, scores: np.ndarray, k: int
 ) -> "tuple[tuple[int, ...], tuple[float, ...]]":
     """Exact top-k over float64 ``scores``, as ``(ids, scores)`` tuples.
 
-    Ties on the k-th score are all kept, then everything is ranked by
-    the engine's ``(-score, id)`` rule and cut to ``k``.
+    Everything is ranked by the engine's ``(-score, id)`` rule and cut
+    to ``k``; a pool much larger than ``k`` is first cut to the k-th
+    score, ties on it all kept.
     """
     available = int(scores.shape[0])
     take = min(k, available)
-    if available > take:
+    if available > take + _RANK_WHOLE_SLACK:
         kth_value = np.partition(scores, available - take)[available - take]
         keep = scores >= kth_value
         ids, scores = ids[keep], scores[keep]
@@ -708,6 +741,34 @@ def batch_top_k(
     chunks actually swept, not the snapshot; cap the batch size
     accordingly (the parallel executor defaults to 64-query sub-batches).
     """
+    return _batch_top_k(
+        compiled, functions, k, where, stats, algorithm, deadline, exclude,
+        None,
+    )
+
+
+def _batch_top_k(
+    compiled: CompiledDG,
+    functions: Sequence[ScoringFunction],
+    k: int,
+    where: WherePredicate | None,
+    stats: Sequence[AccessCounter] | None,
+    algorithm: str,
+    deadline: Deadline | None,
+    exclude: np.ndarray | None,
+    delta: "tuple[np.ndarray, np.ndarray] | None",
+) -> "list[TopKResult]":
+    """:func:`batch_top_k`, plus the overlay's unindexed ``delta`` records.
+
+    ``delta`` is ``(ids, float64 rows)`` of records that are in no layer
+    (:func:`repro.core.overlay.overlay_batch_top_k` passes the overlay's
+    inserts).  They are scored exhaustively with ``score_many`` and join
+    each query's base candidates *before* the one exact selection, so a
+    base+delta read ranks once and builds one result.  Each query is
+    charged the base chunks it swept, then every delta id; ``where``
+    filters delta rows like base rows; ``deadline`` is checked once more
+    between the sweep and the delta scan (stage ``"overlay-merge"``).
+    """
     if k <= 0:
         raise ValueError("k must be positive")
     if compiled.stale:
@@ -715,13 +776,12 @@ def batch_top_k(
             "CompiledDG is stale: the source DominantGraph mutated after "
             "compile(); rebuild the snapshot with graph.compile()"
         )
+    num_records = compiled.num_records
     if exclude is not None:
-        if exclude.dtype != np.bool_ or exclude.shape != (
-            compiled.num_records,
-        ):
+        if exclude.dtype != np.bool_ or exclude.shape != (num_records,):
             raise ValueError(
                 "exclude must be a boolean mask over the snapshot's "
-                f"{compiled.num_records} dense rows"
+                f"{num_records} dense rows"
             )
     num_queries = len(functions)
     if stats is None:
@@ -735,15 +795,14 @@ def batch_top_k(
             )
     if num_queries == 0:
         return []
-    if compiled.num_records == 0:
-        return [
-            TopKResult((), (), counters[q], algorithm=algorithm)
-            for q in range(num_queries)
-        ]
 
-    weights: np.ndarray | None = None
-    if all(isinstance(f, LinearFunction) for f in functions):
-        weights = np.array([f.weights for f in functions], dtype=np.float64)
+    linear = [f.weights for f in functions if isinstance(f, LinearFunction)]
+    if num_records == 0:
+        pools = [
+            (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
+        ] * num_queries
+    elif len(linear) == num_queries:
+        weights = np.array(linear, dtype=np.float64)
         if int(weights.shape[1]) != int(compiled.values.shape[1]):
             raise ValueError(
                 f"function dims {int(weights.shape[1])} != "
@@ -751,27 +810,77 @@ def batch_top_k(
             )
         abs_weights = np.abs(weights)
         if _f32_lane_applies(compiled, abs_weights):
-            return _f32_lane(
+            pools = _f32_lane(
                 compiled, functions, weights, abs_weights, k, where,
-                counters, algorithm, deadline, exclude,
+                counters, deadline, exclude,
             )
-    return _f64_lane(
-        compiled, functions, weights, k, where, counters, algorithm,
-        deadline, exclude,
+        else:
+            pools = _f64_lane(
+                compiled, functions, weights, k, where, counters, deadline,
+                exclude,
+            )
+    else:
+        pools = _f64_lane(
+            compiled, functions, None, k, where, counters, deadline, exclude
+        )
+
+    if delta is not None:
+        if deadline is not None:
+            deadline.check(stage="overlay-merge")
+        answer_ids, answer_block = _delta_candidates(*delta, where)
+    results: "list[TopKResult]" = []
+    for q, (ids, scores) in enumerate(pools):
+        if delta is not None:
+            # Every delta row was a scored candidate, filtered or not.
+            counters[q].count_computed_batch(delta[0], pseudo=0)
+            if int(answer_ids.shape[0]):
+                ids = np.concatenate([ids, answer_ids])
+                scores = np.concatenate(
+                    [scores, functions[q].score_many(answer_block)]
+                )
+        top_ids, top_scores = _select_exact(ids, scores, k)
+        results.append(
+            TopKResult(top_ids, top_scores, counters[q], algorithm=algorithm)
+        )
+    return results
+
+
+def _delta_candidates(
+    delta_ids: np.ndarray,
+    delta_values: np.ndarray,
+    where: WherePredicate | None,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """The delta rows eligible to answer, as ``(ids, writable block)``.
+
+    The block is a fresh writable copy: scoring functions are entitled
+    to writable inputs (the scan tier makes the same guarantee), and a
+    published overlay's arrays stay frozen.
+    """
+    block = np.array(delta_values, dtype=np.float64, copy=True)
+    if where is None:
+        return delta_ids, block
+    keep = np.fromiter(
+        (i for i in range(int(delta_ids.shape[0])) if bool(where(block[i]))),
+        dtype=np.int64,
     )
+    return delta_ids[keep], block[keep]
 
 
-def _f32_lane_applies(compiled: CompiledDG, abs_weights: np.ndarray) -> bool:
+def _f32_lane_applies(
+    compiled: CompiledDG,
+    abs_weights: np.ndarray,
+    headroom: float = float(np.finfo(np.float32).max) / 8.0,
+) -> bool:
     """Fast-lane guard: enabled, and float32 cannot overflow.
 
     The margin model assumes finite float32 arithmetic; data or weights
     large enough to push ``dims * max|w| * max|x|`` near ``float32 max``
-    (or already non-finite in float32) fall back to the float64 lane.
+    (``headroom``, taken once at import) or already non-finite in
+    float32 fall back to the float64 lane.
     """
     if not fast_lane_enabled():
         return False
     dims = int(abs_weights.shape[1])
-    headroom = float(np.finfo(np.float32).max) / 8.0
     scale = float(abs_weights.max(initial=0.0)) * compiled.abs_max()
     return dims * scale < headroom
 
@@ -795,7 +904,7 @@ def _sweep(
     counters: "list[AccessCounter]",
     deadline: Deadline | None,
     exclude: np.ndarray | None,
-) -> "tuple[np.ndarray, np.ndarray, list[_Chunk]]":
+) -> "tuple[np.ndarray, list[int], list[_Chunk]]":
     """The chunk loop both lanes share: score, charge, bank, retire.
 
     ``margin`` selects the lane.  With a margin (fast lane) ``weights``
@@ -805,10 +914,12 @@ def _sweep(
     multiply-and-sum for a float64 ``weights`` matrix, else one
     ``score_many`` call per active query.
 
-    Returns ``(topk, stop_prefix, scanned)``: each query's running top-k
+    Returns ``(topk, stops, scanned)``: each query's running top-k
     scores in the lane's dtype (column 0 is the k-th best, ``-inf`` until
     ``k`` answerable records were seen), the dense row its scan stopped
-    at, and the swept chunks, which tile ``[0, max(stop_prefix))``.
+    at, and the swept chunks.  A query that was still active when the
+    sweep ended reports ``num_records`` as its stop: it owns every swept
+    chunk, wherever the last one ends.
 
     A query retires at a chunk edge once ``k`` answerable records are
     banked and its k-th best exceeds the maximum of the chunk's *last
@@ -822,32 +933,33 @@ def _sweep(
     exactly.
 
     Bookkeeping waits for its cause.  ``act_idx`` is ``None`` — every
-    query active, in order — until the first query retires; a chunk's
-    answerable mask is ``None`` unless the snapshot has a pseudo row or
-    the caller passed ``exclude`` or ``where``; and the first ``k``
-    answerable rows are partitioned alone, the running top-k being all
-    ``-inf``.  A read that retires in its first chunk thus costs one
-    score pass and one partition.
+    query active, in order — until some query retires *before* the
+    others; a chunk's answerable mask is not even asked for unless the
+    snapshot has a pseudo row or the caller passed ``exclude`` or
+    ``where``; the first ``k`` answerable rows are partitioned alone and
+    *become* the running top-k, which is otherwise allocated only when a
+    chunk has to be merged into it; and stop positions are written only
+    for queries that retire early.  A read that retires in its first
+    chunk thus costs one score pass and one partition.
     """
     num_queries = len(functions)
     values = compiled.values
-    ids_arr = compiled.record_ids
-    n = int(ids_arr.shape[0])
+    n = int(compiled.record_ids.shape[0])
     pseudo_prefix = compiled._pseudo_layout()[1]
+    masked = (
+        where is not None or exclude is not None or pseudo_prefix is not None
+    )
     values_f32 = None if margin is None else compiled._f32_values()
     kernel = None if margin is None else native.kernel()
     shared_ids = k <= _CHUNK_MIN_ROWS  # the schedule every such k shares
     act_idx: np.ndarray | None = None
-    topk = np.full(
-        (num_queries, k),
-        -np.inf,
-        dtype=np.float64 if weights is None else weights.dtype,
-    )
-    stop_prefix = np.full(num_queries, n, dtype=np.int64)
+    topk: np.ndarray | None = None
+    topk_dtype = np.float64 if weights is None else weights.dtype
+    stops = [n] * num_queries
     scanned: "list[_Chunk]" = []
     ans_count = 0
 
-    for lo, hi, tail in _iter_chunks(compiled.layer_bounds(), k):
+    for lo, hi, tail in compiled._chunk_schedule(k):
         if deadline is not None:
             deadline.check(stage="kernel")
         queries = range(num_queries) if act_idx is None else act_idx.tolist()
@@ -878,23 +990,28 @@ def _sweep(
         for q in queries:
             counters[q].count_computed_batch(block_ids, pseudo=block_pseudo)
 
-        ans_block = _chunk_answerable(compiled, where, exclude, lo, hi)
+        ans_block = (
+            _chunk_answerable(compiled, where, exclude, lo, hi)
+            if masked else None
+        )
         scanned.append((lo, hi, act_idx, block, ans_block))
         cand = block if ans_block is None else block[:, ans_block]
         num_answerable = int(cand.shape[1])
         if num_answerable:
-            if ans_count == 0 and num_answerable >= k:
-                pool = cand  # the running top-k is still all -inf
+            if topk is None and num_answerable >= k:
+                pool = cand  # nothing banked yet: these rows alone
             else:
+                if topk is None:
+                    topk = np.full((num_queries, k), -np.inf, dtype=topk_dtype)
                 kept = topk if act_idx is None else topk[act_idx]
                 pool = np.concatenate([kept, cand], axis=1)
             best = np.partition(pool, int(pool.shape[1]) - k, axis=1)[:, -k:]
-            if act_idx is None:
+            if topk is None or act_idx is None:
                 topk = best
             else:
                 topk[act_idx] = best
             ans_count += num_answerable
-        if hi >= n or ans_count < k:
+        if hi >= n or topk is None or ans_count < k:
             continue
         # Column 0 of the kept slice is the running k-th best (row
         # minimum).  float32 operands promote to float64 against margin.
@@ -904,14 +1021,18 @@ def _sweep(
         else:
             marg = margin if act_idx is None else margin[act_idx]
             done = (kth - marg) > (tail_max + marg)
-        if done.any():
+        retiring = int(np.count_nonzero(done))
+        if retiring == int(done.shape[0]):
+            break  # everyone left stops here, at the last swept chunk
+        if retiring:
             if act_idx is None:
                 act_idx = np.arange(num_queries, dtype=np.int64)
-            stop_prefix[act_idx[done]] = hi
+            for q in act_idx[done].tolist():
+                stops[q] = hi
             act_idx = act_idx[~done]
-            if act_idx.size == 0:
-                break
-    return topk, stop_prefix, scanned
+    if topk is None:  # no answerable row anywhere
+        topk = np.full((num_queries, k), -np.inf, dtype=topk_dtype)
+    return topk, stops, scanned
 
 
 def _f32_lane(
@@ -922,24 +1043,26 @@ def _f32_lane(
     k: int,
     where: WherePredicate | None,
     counters: "list[AccessCounter]",
-    algorithm: str,
     deadline: Deadline | None = None,
     exclude: np.ndarray | None = None,
-) -> "list[TopKResult]":
-    """The two-precision lane: float32 scan, exact float64 boundary re-check."""
+) -> "list[tuple[np.ndarray, np.ndarray]]":
+    """The two-precision lane: float32 scan, exact float64 boundary re-check.
+
+    Returns each query's candidate pool, ``(ids, exact float64 scores)``
+    of every swept row whose float32 score could reach the exact top-k.
+    """
     values = compiled.values
     ids_arr = compiled.record_ids
     margin = _f32_margin(
         int(weights.shape[1]), abs_weights.sum(axis=1), compiled.abs_max()
     )
-    topk32, stop_prefix, scanned = _sweep(
+    topk32, stops, scanned = _sweep(
         compiled, functions, weights.astype(np.float32), margin, k, where,
         counters, deadline, exclude,
     )
 
-    results: "list[TopKResult]" = []
-    for q in range(len(functions)):
-        prefix = int(stop_prefix[q])
+    pools: "list[tuple[np.ndarray, np.ndarray]]" = []
+    for q, prefix in enumerate(stops):
         threshold32 = _f32_round_down(
             float(topk32[q, 0]) - 2.0 * float(margin[q])
         )
@@ -956,12 +1079,8 @@ def _f32_lane(
         # Exact float64 boundary re-check: same elementwise-multiply +
         # sum reduction as LinearFunction.score_many, so the kept scores
         # are bit-identical to the reference engine's.
-        exact = (values[rows] * weights[q]).sum(axis=1)
-        top_ids, top_scores = _select_exact(ids_arr[rows], exact, k)
-        results.append(
-            TopKResult(top_ids, top_scores, counters[q], algorithm=algorithm)
-        )
-    return results
+        pools.append((ids_arr[rows], (values[rows] * weights[q]).sum(axis=1)))
+    return pools
 
 
 def _f64_lane(
@@ -971,28 +1090,27 @@ def _f64_lane(
     k: int,
     where: WherePredicate | None,
     counters: "list[AccessCounter]",
-    algorithm: str,
     deadline: Deadline | None = None,
     exclude: np.ndarray | None = None,
-) -> "list[TopKResult]":
+) -> "list[tuple[np.ndarray, np.ndarray]]":
     """The exact float64 lane: the parity oracle for every function class.
 
     Linear batches score with the same broadcast elementwise-multiply +
     ``np.sum`` reduction as ``LinearFunction.score_many`` (bit-identical
     rows by the determinism contract); other monotone functions get one
-    ``score_many`` call per active query per chunk.  Answers are selected
-    straight from the per-chunk score blocks, so memory and time are
-    O(rows scanned).
+    ``score_many`` call per active query per chunk.  Each query's
+    candidate pool, ``(ids, scores)``, is every answerable row it swept,
+    taken straight from the per-chunk score blocks, so memory and time
+    are O(rows scanned).
     """
     ids_arr = compiled.record_ids
-    _topk, stop_prefix, scanned = _sweep(
+    _topk, stops, scanned = _sweep(
         compiled, functions, weights, None, k, where, counters, deadline,
         exclude,
     )
 
-    results: "list[TopKResult]" = []
-    for q in range(len(functions)):
-        prefix = int(stop_prefix[q])
+    pools: "list[tuple[np.ndarray, np.ndarray]]" = []
+    for q, prefix in enumerate(stops):
         ids_parts: "list[np.ndarray]" = []
         score_parts: "list[np.ndarray]" = []
         for lo, hi, act_idx, block, ans_block in scanned:
@@ -1002,10 +1120,5 @@ def _f64_lane(
             keep = slice(None) if ans_block is None else ans_block
             ids_parts.append(ids_arr[lo:hi][keep])
             score_parts.append(block[row, keep])
-        top_ids, top_scores = _select_exact(
-            np.concatenate(ids_parts), np.concatenate(score_parts), k
-        )
-        results.append(
-            TopKResult(top_ids, top_scores, counters[q], algorithm=algorithm)
-        )
-    return results
+        pools.append((np.concatenate(ids_parts), np.concatenate(score_parts)))
+    return pools

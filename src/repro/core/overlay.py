@@ -26,10 +26,15 @@ to a full recompile, by construction:
    boundary re-check uses — so a delta record's score is bit-identical
    to what a recompiled snapshot would assign it (the ``score_many``
    determinism contract: a row's score never depends on its neighbours).
-3. **Merge.**  Any record outside the base top-k is beaten by ``k``
-   surviving base records, all of which are in the merged pool, so the
-   canonical ``(-score, id)`` selection over (base top-k) ∪ (delta)
-   is the global top-k.
+3. **Merge.**  This happens inside the kernel's one selection, not
+   after it: each query's delta scores are appended to its base
+   *candidates* — every swept surviving row that could still reach the
+   base top-k, exactly re-scored — before the single
+   ``(-score, id)`` ranking.  Any record outside the base top-k is
+   beaten by ``k`` surviving base records, all of which are in that
+   pool, so the selection over (base candidates) ∪ (delta) is the
+   global top-k; there is no intermediate base result to build, unpack
+   and rank a second time.
 
 ``tests/test_overlay.py`` enforces this with a hypothesis property test
 over random interleaved insert/delete/mark_deleted sequences, and the
@@ -51,7 +56,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core.compiled import CompiledDG, _select_exact, batch_top_k
+from repro.core.compiled import CompiledDG, _batch_top_k
 from repro.core.functions import ScoringFunction, WherePredicate
 from repro.core.result import TopKResult
 from repro.metrics.counters import AccessCounter
@@ -164,26 +169,6 @@ def alive_record_ids(
     return out
 
 
-def _delta_candidates(
-    overlay: DeltaOverlay, where: WherePredicate | None
-) -> "tuple[np.ndarray, np.ndarray]":
-    """The overlay rows eligible to answer, as ``(ids, writable block)``.
-
-    The block is a fresh writable copy: scoring functions are entitled
-    to writable inputs (the scan tier makes the same guarantee), and the
-    published overlay arrays themselves stay frozen.
-    """
-    block = np.array(overlay.delta_values, copy=True)
-    ids = overlay.delta_ids
-    if where is None:
-        return ids, block
-    keep = np.fromiter(
-        (i for i in range(int(ids.shape[0])) if bool(where(block[i]))),
-        dtype=np.int64,
-    )
-    return ids[keep], block[keep]
-
-
 def overlay_batch_top_k(
     compiled: CompiledDG,
     overlay: DeltaOverlay,
@@ -198,50 +183,26 @@ def overlay_batch_top_k(
     """Answer many queries over ``base+overlay``, bit-identical to a
     recompile.
 
-    Runs the batch kernel over the base with the overlay's deletions as
-    the ``exclude`` mask, scores the overlay's records exhaustively, and
-    merges by the canonical ``(-score, id)`` contract (see the module
-    docstring for the exactness argument).  ``deadline`` is checked at
-    kernel chunk boundaries and again before the delta scan and merge.
+    One pass through the batch kernel: the overlay's deletions are its
+    ``exclude`` mask, and the overlay's records are handed to it as
+    unindexed delta rows, which it scores exhaustively and ranks together
+    with each query's base candidates under the canonical
+    ``(-score, id)`` contract (see the module docstring for the
+    exactness argument).  ``deadline`` is checked at kernel chunk
+    boundaries and again before the delta scan and merge.
     """
-    num_queries = len(functions)
-    if stats is None:
-        counters = [AccessCounter() for _ in range(num_queries)]
-    else:
-        counters = list(stats)
-    base_results = batch_top_k(
+    return _batch_top_k(
         compiled,
         functions,
         k,
-        where=where,
-        stats=counters,
-        algorithm=algorithm,
-        deadline=deadline,
-        exclude=overlay.deleted_mask(compiled.num_records),
+        where,
+        stats,
+        algorithm,
+        deadline,
+        overlay.deleted_mask(compiled.num_records),
+        (overlay.delta_ids, overlay.delta_values)
+        if len(overlay.delta_ids) else None,
     )
-    if overlay.delta_count == 0 or num_queries == 0:
-        return base_results
-    if deadline is not None:
-        deadline.check(stage="overlay-merge")
-    delta_ids, delta_block = _delta_candidates(overlay, where)
-    merged: "list[TopKResult]" = []
-    for q, base in enumerate(base_results):
-        counters[q].count_computed_batch(overlay.delta_ids, pseudo=0)
-        if int(delta_ids.shape[0]) == 0:
-            merged.append(base)
-            continue
-        delta_scores = functions[q].score_many(delta_block)
-        pool_ids = np.concatenate(
-            [np.asarray(base.ids, dtype=np.int64), delta_ids]
-        )
-        pool_scores = np.concatenate(
-            [np.asarray(base.scores, dtype=np.float64), delta_scores]
-        )
-        top_ids, top_scores = _select_exact(pool_ids, pool_scores, k)
-        merged.append(
-            TopKResult(top_ids, top_scores, counters[q], algorithm=algorithm)
-        )
-    return merged
 
 
 def overlay_top_k(

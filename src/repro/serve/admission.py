@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, TypeVar
 
 from repro.errors import QueryBudgetExceeded, ServiceOverloaded
 from repro.resilience.deadline import Deadline
@@ -98,15 +97,16 @@ class AdmissionController:
         with self._lock:
             return self._waiting
 
-    @contextmanager
     def admit(
         self,
         timeout: float | None = None,
         deadline: "Deadline | None" = None,
-    ) -> Iterator[None]:
+    ) -> "_Slot":
         """Hold one execution slot for the duration of the ``with`` body.
 
-        Raises :class:`~repro.errors.ServiceOverloaded` without blocking
+        Entering the returned context manager acquires the slot; leaving
+        it, normally or by exception, releases it.  Entering raises
+        :class:`~repro.errors.ServiceOverloaded` without blocking
         when the waiting room is full, and after ``timeout`` (default:
         the controller's ``wait_timeout``) when no slot frees up.  With
         a request ``deadline``, the wait is additionally clamped to the
@@ -114,51 +114,37 @@ class AdmissionController:
         :class:`~repro.errors.DeadlineExceeded` up front — a request
         with no time left must not consume a waiting-room slot.
         """
+        return _Slot(self, timeout, deadline)
+
+    def _wait_for_slot(
+        self, timeout: float | None, deadline: "Deadline | None"
+    ) -> None:
+        """Block (lock held) until a slot frees up, or shed the request."""
+        if self._waiting >= self.max_waiting:
+            self.stats.shed += 1
+            raise ServiceOverloaded(self._active, self._waiting)
+        timeout = self.wait_timeout if timeout is None else timeout
         if deadline is not None:
-            deadline.check(stage="admission")
-            timeout = deadline.clamp(
-                self.wait_timeout if timeout is None else timeout
-            )
-        else:
-            timeout = self.wait_timeout if timeout is None else timeout
+            timeout = deadline.clamp(timeout)
         wait_until = None if timeout is None else time.monotonic() + timeout
-        with self._lock:
-            if self._active >= self.max_concurrent:
-                if self._waiting >= self.max_waiting:
+        self._waiting += 1
+        try:
+            while self._active >= self.max_concurrent:
+                remaining = (
+                    None if wait_until is None
+                    else wait_until - time.monotonic()
+                )
+                if remaining is not None and remaining <= 0:
+                    # Distinguish "the service is busy" from "this
+                    # request's time ran out while it waited": the
+                    # latter is a deadline expiry, not an overload shed.
+                    if deadline is not None:
+                        deadline.check(stage="admission")
                     self.stats.shed += 1
                     raise ServiceOverloaded(self._active, self._waiting)
-                self._waiting += 1
-                try:
-                    while self._active >= self.max_concurrent:
-                        remaining = (
-                            None
-                            if wait_until is None
-                            else wait_until - time.monotonic()
-                        )
-                        if remaining is not None and remaining <= 0:
-                            # Distinguish "the service is busy" from
-                            # "this request's time ran out while it
-                            # waited": the latter is a deadline expiry,
-                            # not an overload shed.
-                            if deadline is not None:
-                                deadline.check(stage="admission")
-                            self.stats.shed += 1
-                            raise ServiceOverloaded(
-                                self._active, self._waiting
-                            )
-                        self._slot_freed.wait(remaining)
-                finally:
-                    self._waiting -= 1
-            self._active += 1
-            self.stats.admitted += 1
-            self.stats.peak_active = max(self.stats.peak_active, self._active)
-        try:
-            yield
+                self._slot_freed.wait(remaining)
         finally:
-            with self._lock:
-                self._active -= 1
-                self.stats.completed += 1
-                self._slot_freed.notify()
+            self._waiting -= 1
 
     def drain(self, timeout: float | None = None, poll: float = 0.005) -> bool:
         """Block until no query is active; ``True`` when fully drained.
@@ -185,6 +171,47 @@ class AdmissionController:
                 "max_waiting": self.max_waiting,
                 **self.stats.as_dict(),
             }
+
+
+class _Slot:
+    """What :meth:`AdmissionController.admit` returns: one slot, held
+    from ``__enter__`` to ``__exit__``.
+
+    A plain class instead of a ``@contextmanager`` generator because
+    every read, cache hit or miss, enters one: creating and resuming a
+    generator cost more than the acquire and release it wrapped.
+    """
+
+    __slots__ = ("_controller", "_timeout", "_deadline")
+
+    def __init__(
+        self,
+        controller: AdmissionController,
+        timeout: float | None,
+        deadline: "Deadline | None",
+    ) -> None:
+        self._controller = controller
+        self._timeout = timeout
+        self._deadline = deadline
+
+    def __enter__(self) -> None:
+        controller = self._controller
+        if self._deadline is not None:
+            self._deadline.check(stage="admission")
+        with controller._lock:
+            if controller._active >= controller.max_concurrent:
+                controller._wait_for_slot(self._timeout, self._deadline)
+            controller._active += 1
+            stats = controller.stats
+            stats.admitted += 1
+            stats.peak_active = max(stats.peak_active, controller._active)
+
+    def __exit__(self, *exc_info: object) -> None:
+        controller = self._controller
+        with controller._lock:
+            controller._active -= 1
+            controller.stats.completed += 1
+            controller._slot_freed.notify()
 
 
 def retry_with_backoff(

@@ -64,7 +64,12 @@ class ResultCache:
         self._purged = 0
 
     def get(self, key: "Optional[CacheKey]") -> "Optional[TopKResult]":
-        """Look up a cached result; counts a miss for uncacheable keys."""
+        """Look up a cached result, counting the hit or the miss.
+
+        An uncacheable request (``key is None``) is neither: it returns
+        ``None`` uncounted, so the hits and misses ``health()`` reports —
+        and any hit ratio built on them — cover cacheable lookups only.
+        """
         if key is None:
             return None
         with self._lock:

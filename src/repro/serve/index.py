@@ -717,6 +717,27 @@ class ServingIndex:
         """Epoch of the currently published snapshot."""
         return self._snapshot.epoch
 
+    def _check_request(
+        self, functions: Iterable[ScoringFunction], k: int
+    ) -> None:
+        """Reject a malformed request before it costs anything.
+
+        The kernel raises the same errors, but from inside the tier
+        ladder, where a ``ValueError`` looks like a tier fault: it would
+        be retried, degraded to the scan under a warning and charged to
+        the compiled tier's breaker — and enough of them open it for
+        well-formed queries.  A caller's mistake is not a tier failure.
+        """
+        if k <= 0:
+            raise ValueError("k must be positive")
+        dims = int(self._snapshot.compiled.values.shape[1])
+        for function in functions:
+            got = getattr(function, "dims", dims)
+            if got != dims:
+                raise ValueError(
+                    f"function dims {got} != snapshot dims {dims}"
+                )
+
     def query(
         self,
         function: ScoringFunction,
@@ -764,6 +785,7 @@ class ServingIndex:
             raise ServiceUnavailable(
                 "draining" if not self._closed else "closed"
             )
+        self._check_request((function,), k)
         deadline = self._timeouts.deadline_for(deadline_ms)
         with self._admission.admit(timeout=admission_timeout, deadline=deadline):
             snap = self._snapshot
@@ -899,6 +921,7 @@ class ServingIndex:
         requested = list(functions)
         if not requested:
             return []
+        self._check_request(requested, k)
         deadline = self._timeouts.deadline_for(deadline_ms)
         with self._admission.admit(timeout=admission_timeout, deadline=deadline):
             snap = self._snapshot

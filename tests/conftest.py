@@ -56,8 +56,11 @@ def layer_chunks():
     nothing can retire early, so the parity sweeps repeat each query
     under this one.
     """
+    def schedule(snapshot, k):  # uncached: gone when the patch is
+        return tuple(one_layer_per_chunk(snapshot.layer_bounds(), k))
+
     with mock.patch.object(
-        compiled_engine, "_iter_chunks", one_layer_per_chunk
+        compiled_engine.CompiledDG, "_chunk_schedule", schedule
     ):
         yield
 

@@ -48,7 +48,13 @@ from repro.core.compiled import (
 )
 from repro.core.dataset import Dataset
 from repro.core.functions import LinearFunction, MinFunction
-from repro.core.maintenance import mark_deleted
+from repro.core.maintenance import (
+    OverlayBuilder,
+    delete_record,
+    insert_record,
+    mark_deleted,
+)
+from repro.core.overlay import overlay_batch_top_k
 from repro.core.traveler import BasicTraveler
 from repro.data.generators import uniform
 from tests.conftest import layer_chunks
@@ -347,6 +353,180 @@ class TestSkippedBookkeeping:
         assert (
             sum(ids.size for ids in snapshot._chunk_ids_cache.values())
             <= snapshot.num_records
+        )
+
+    @pytest.mark.parametrize("variant", ["plain", "extended", "empty"])
+    def test_cached_schedule_is_the_walked_one(self, variant):
+        if variant == "extended":
+            snapshot = build_extended_graph(uniform(3000, 3, seed=9), theta=6).compile()
+        elif variant == "plain":
+            snapshot = build_dominant_graph(uniform(3000, 3, seed=9)).compile()
+        else:
+            graph = build_dominant_graph(uniform(30, 3, seed=9))
+            for record_id in range(30):
+                delete_record(graph, record_id)
+            snapshot = graph.compile()
+        assert (snapshot.num_records == 0) == (variant == "empty")
+        bounds = snapshot.layer_bounds()
+        for k in (1, 10, 1024, 1025, 5000):
+            walked = list(_iter_chunks(bounds, k))
+            assert list(snapshot._chunk_schedule(k)) == walked
+            assert snapshot._chunk_schedule(k) is snapshot._chunk_schedule(k)
+        # Every k up to the row target shares the one default entry.
+        assert snapshot._chunk_schedule(1) is snapshot._chunk_schedule(1024)
+        assert sorted(snapshot._chunk_schedule_cache) == [1024, 1025, 5000]
+
+    def test_a_new_snapshot_does_not_see_the_old_schedule(self):
+        dataset = uniform(3000, 3, seed=9)
+        graph = build_dominant_graph(dataset, record_ids=range(2600))
+        before = graph.compile()
+        old = before._chunk_schedule(10)
+        for record_id in range(2600, 3000):
+            insert_record(graph, record_id)
+        after = graph.compile()
+        assert not after._chunk_schedule_cache  # nothing carried over
+        new = after._chunk_schedule(10)
+        assert new == tuple(_iter_chunks(after.layer_bounds(), 10))
+        assert new != old and new[-1][1] == 3000 and old[-1][1] == 2600
+        function = LinearFunction([0.5, 0.3, 0.2])
+        reference = AdvancedTraveler(graph).top_k(function, 10)
+        assert_bit_identical(reference, after.top_k(function, 10))
+
+    @pytest.mark.parametrize("lane", ["1", "0"])
+    def test_running_topk_appears_when_a_chunk_must_be_merged(self, lane):
+        """Fewer than k answerable rows in chunk one: bank, then merge."""
+        dataset = uniform(4000, 3, seed=21)
+        graph = build_dominant_graph(dataset)
+        snapshot = graph.compile()
+        _lo, first_hi, _tail = snapshot._chunk_schedule(10)[0]
+        function = LinearFunction([0.5, 0.3, 0.2])
+        keep = {tuple(row) for row in snapshot.values[first_hi - 4:first_hi + 400]}
+
+        def where(vector):  # 4 answerable rows in chunk one, k = 10
+            return tuple(vector) in keep
+
+        reference = AdvancedTraveler(graph).top_k(function, 10, where)
+        with mock.patch.dict(os.environ, {FAST_LANE_ENV: lane}):
+            result = snapshot.top_k(function, 10, where=where)
+            nothing = snapshot.top_k(function, 10, where=lambda vector: False)
+        assert_bit_identical(reference, result)
+        assert result.stats.computed > first_hi  # a second chunk was needed
+        assert nothing.ids == () and nothing.stats.computed == snapshot.num_records
+
+
+class TestAccessTallies:
+    """What each query is charged, against a from-scratch model.
+
+    The model walks the chunk schedule in exact float64: charge the
+    chunk, bank its answerable scores, stop at the first chunk edge
+    where ``k`` are banked and the k-th best beats the chunk's last
+    layer.  The float64 lane must charge exactly that; the float32 lane
+    pads the same test with its margin, so it stops at that edge or a
+    later one, never an earlier one.
+    """
+
+    QUERIES = 200
+
+    @staticmethod
+    def model_stop(snapshot, function, k, answerable):
+        scores = function.score_many(snapshot.values)
+        banked = np.empty(0, dtype=np.float64)
+        stops = []
+        for lo, hi, tail in _iter_chunks(snapshot.layer_bounds(), k):
+            stops.append(hi)
+            banked = np.concatenate([banked, scores[lo:hi][answerable[lo:hi]]])
+            if hi < snapshot.num_records and banked.size >= k:
+                if np.sort(banked)[-k] > scores[tail:hi].max():
+                    break
+        return stops
+
+    def check(self, snapshot, results, functions, k, answerable, extra_ids=()):
+        prefix = np.concatenate([[0], np.cumsum(snapshot.pseudo_mask)])
+        later = 0
+        for lane, lane_results in results.items():
+            for q, (function, result) in enumerate(zip(functions, lane_results)):
+                stops = self.model_stop(snapshot, function, k, answerable)
+                scanned = result.stats.computed - len(extra_ids)
+                if lane == "0":
+                    assert scanned == stops[-1]
+                else:
+                    assert scanned >= stops[-1]
+                    assert scanned in stops or scanned == snapshot.num_records
+                    later += scanned > stops[-1]
+                assert result.stats.pseudo_computed == int(prefix[scanned])
+                charged = np.concatenate(result.stats._id_chunks)
+                assert np.array_equal(charged[:scanned], snapshot.record_ids[:scanned])
+                assert charged[scanned:].tolist() == list(extra_ids)
+                if q % 16 == 0:  # the set view is a Python int per id: sample it
+                    assert result.stats.computed_ids == frozenset(charged.tolist())
+        assert later <= len(functions) // 20  # the margin rarely matters
+
+    @staticmethod
+    def first_attribute_above_0_3(vector):
+        return float(vector[0]) > 0.3
+
+    def functions(self, dims):
+        rows = np.random.default_rng(17).dirichlet(np.ones(dims), size=self.QUERIES)
+        return [LinearFunction(row) for row in rows]
+
+    def both_lanes(self, run):
+        results = {}
+        for lane in ("1", "0"):
+            with mock.patch.dict(os.environ, {FAST_LANE_ENV: lane}):
+                results[lane] = run()
+        return results
+
+    @pytest.mark.parametrize("k", [10, 1500])
+    @pytest.mark.parametrize("variant", ["plain", "extended", "where"])
+    def test_kernel_charges_what_the_model_charges(self, variant, k):
+        dataset = uniform(5000, 4, seed=11)
+        if variant == "extended":
+            snapshot = build_extended_graph(dataset, theta=8).compile()
+        else:
+            snapshot = build_dominant_graph(dataset).compile()
+        functions = self.functions(4)
+        answerable = ~snapshot.pseudo_mask
+        where = self.first_attribute_above_0_3 if variant == "where" else None
+        if where is not None:
+            answerable = answerable & (snapshot.values[:, 0] > 0.3)
+        batch = self.both_lanes(
+            lambda: compiled_engine.batch_top_k(snapshot, functions, k, where=where)
+        )
+        self.check(snapshot, batch, functions, k, answerable)
+        some = functions[:25]
+        single = self.both_lanes(
+            lambda: [snapshot.top_k(f, k, where=where) for f in some]
+        )
+        self.check(snapshot, single, some, k, answerable)
+        for lane in ("1", "0"):
+            for alone, swept in zip(single[lane], batch[lane]):
+                assert_bit_identical(swept, alone)
+                assert alone.stats.computed == swept.stats.computed
+
+    @pytest.mark.parametrize("k", [10, 1500])
+    def test_overlay_read_charges_the_base_sweep_then_every_delta_id(self, k):
+        dataset = uniform(5200, 4, seed=11)
+        graph = build_dominant_graph(dataset, record_ids=range(5000))
+        snapshot = graph.compile().detach()
+        functions = self.functions(4)
+        builder = OverlayBuilder(snapshot)
+        for record_id in range(5000, 5040):
+            builder.insert(record_id, dataset.values[record_id])
+        gone = list(snapshot.top_k(functions[0], 20).ids[::2]) + list(range(100, 120))
+        for record_id in gone:
+            builder.delete(record_id)
+        overlay = builder.freeze()
+        answerable = ~overlay.deleted_mask(snapshot.num_records)
+        results = self.both_lanes(
+            lambda: overlay_batch_top_k(snapshot, overlay, functions, k)
+        )
+        for result in results["1"]:  # base chunks first, the delta ids last
+            charged = result.stats._id_chunks
+            assert len(charged) >= 2
+            assert np.array_equal(charged[-1], overlay.delta_ids)
+        self.check(
+            snapshot, results, functions, k, answerable,
+            extra_ids=overlay.delta_ids.tolist(),
         )
 
 

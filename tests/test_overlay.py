@@ -20,10 +20,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.naive import naive_top_k_subset
 from repro.core.builder import build_dominant_graph
 from repro.core.compiled import batch_top_k
 from repro.core.dataset import Dataset
-from repro.core.functions import LinearFunction
+from repro.core.functions import LinearFunction, MinFunction, ProductFunction
 from repro.core.maintenance import (
     OverlayBuilder,
     delete_record,
@@ -36,6 +37,9 @@ from repro.core.overlay import (
     overlay_batch_top_k,
     overlay_top_k,
 )
+from repro.errors import DeadlineExceeded
+from repro.metrics.counters import AccessCounter
+from repro.resilience.deadline import Deadline
 from repro.serve import ServingIndex
 from repro.serve.index import DELTA_SIDECAR, snapshot_scan
 from repro.store.deltastore import load_delta_store, save_delta_store
@@ -146,6 +150,178 @@ def test_overlay_parity_holds_under_where_predicates():
         for w, g in zip(want + want, got):
             assert g.ids == w.ids
             assert g.scores == w.scores
+
+
+# ----------------------------------------------------------------------
+# The merge is part of the kernel's one selection
+# ----------------------------------------------------------------------
+class TestFusedSelection:
+    """Delta rows join each query's base candidates before the one
+    ranking; every case is held to a naive scan of the alive records."""
+
+    @staticmethod
+    def overlay_over(dataset, base_ids, inserts=(), deletes=()):
+        graph = build_dominant_graph(dataset, record_ids=base_ids)
+        base = graph.compile().detach()
+        builder = OverlayBuilder(base)
+        for rid in inserts:
+            builder.insert(rid, dataset.values[rid])
+        for rid in deletes:
+            builder.delete(rid)
+        return base, builder.freeze()
+
+    @staticmethod
+    def assert_matches_scan(dataset, base, overlay, functions, k, where=None):
+        alive = alive_record_ids(base, overlay)
+        got = overlay_batch_top_k(base, overlay, functions, k, where=where)
+        with layer_chunks():
+            got += overlay_batch_top_k(base, overlay, functions, k, where=where)
+        got += [
+            overlay_top_k(base, overlay, function, k, where=where)
+            for function in functions
+        ]
+        for function, result in zip(functions * 3, got):
+            want = naive_top_k_subset(dataset, alive, function, k, where=where)
+            assert result.ids == want.ids
+            assert result.scores == want.scores
+            assert result.algorithm == "compiled-batch+delta"
+        return got
+
+    def test_empty_base_answers_from_the_delta_alone(self, rng):
+        dataset = Dataset(rng.uniform(0.0, 10.0, (12, 3)))
+        graph = build_dominant_graph(dataset, record_ids=range(4))
+        for rid in range(4):
+            delete_record(graph, rid)
+        base = graph.compile().detach()
+        assert base.num_records == 0
+        builder = OverlayBuilder(base)
+        for rid in range(4, 12):
+            builder.insert(rid, dataset.values[rid])
+        overlay = builder.freeze()
+        for k in (1, 3, 8, 20):
+            results = self.assert_matches_scan(
+                dataset, base, overlay, _functions(3), k
+            )
+            assert all(len(r) == min(k, 8) for r in results)
+            assert all(r.stats.computed == 8 for r in results)
+
+    def test_where_filters_delta_rows_too(self, rng):
+        dataset = Dataset(rng.uniform(0.0, 10.0, (40, 3)))
+        base, overlay = self.overlay_over(
+            dataset, range(30), inserts=range(30, 40), deletes=(2, 5)
+        )
+        seen = []
+
+        def where(values: np.ndarray) -> bool:
+            seen.append(values.tolist())
+            return float(values[0]) > 5.0
+
+        for k in (1, 6, 40):
+            self.assert_matches_scan(
+                dataset, base, overlay, _functions(3), k, where=where
+            )
+        # Deleted base rows never reach the predicate; delta rows do.
+        shown = {tuple(values) for values in seen}
+        assert not shown & {tuple(dataset.values[rid]) for rid in (2, 5)}
+        assert shown >= {tuple(dataset.values[rid]) for rid in range(30, 40)}
+
+        def nothing_new(values: np.ndarray) -> bool:  # rejects every delta row
+            return not any(
+                (values == dataset.values[rid]).all() for rid in range(30, 40)
+            )
+
+        results = self.assert_matches_scan(
+            dataset, base, overlay, _functions(3), 6, where=nothing_new
+        )
+        assert all(not set(r.ids) & set(range(30, 40)) for r in results)
+        # ...which are charged all the same: they were scored candidates.
+        assert all(
+            r.stats.computed_ids >= frozenset(range(30, 40)) for r in results
+        )
+
+    def test_non_linear_functions_merge_on_the_float64_lane(self, rng):
+        dataset = Dataset(rng.uniform(0.5, 10.0, (60, 3)))
+        base, overlay = self.overlay_over(
+            dataset, range(50), inserts=range(50, 60), deletes=(1, 7, 9)
+        )
+        functions = [
+            MinFunction(),
+            ProductFunction([0.5, 1.0, 2.0]),
+            LinearFunction([0.2, 0.3, 0.5]),  # a mixed batch rides float64 too
+        ]
+        for k in (1, 5, 57, 80):
+            self.assert_matches_scan(dataset, base, overlay, functions, k)
+
+    def test_k_past_the_alive_count_returns_every_alive_record(self, rng):
+        dataset = Dataset(rng.uniform(0.0, 10.0, (30, 3)))
+        base, overlay = self.overlay_over(
+            dataset, range(20), inserts=range(20, 26), deletes=(0, 3, 4, 21)
+        )
+        alive = alive_record_ids(base, overlay).tolist()
+        assert len(alive) == 22
+        for k in (22, 23, 500):
+            results = self.assert_matches_scan(
+                dataset, base, overlay, _functions(3), k
+            )
+            assert all(sorted(r.ids) == alive for r in results)
+
+    @pytest.mark.parametrize("lane", ["1", "0"])
+    def test_exact_score_tie_across_base_and_delta_goes_to_the_lower_id(
+        self, lane, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_FAST_LANE", lane)
+        rows = np.random.default_rng(5).integers(0, 6, (24, 3)).astype(float)
+        rows[20] = rows[3]  # delta record 20 ties base record 3 exactly
+        rows[21] = rows[11]  # and 21 ties 11
+        dataset = Dataset(rows)
+        base, overlay = self.overlay_over(
+            dataset, range(20), inserts=(20, 21, 22)
+        )
+        function = LinearFunction([0.5, 0.25, 0.25])
+        for k in range(1, 24):
+            (result,) = self.assert_matches_scan(
+                dataset, base, overlay, [function], k
+            )[:1]
+            for low, high in ((3, 20), (11, 21)):
+                if high in result.ids:  # the lower id ranks first, always
+                    assert result.ids.index(low) + 1 == result.ids.index(high)
+        full = overlay_top_k(base, overlay, function, 23)
+        assert {3, 20, 11, 21} <= set(full.ids)
+        # A cut that falls between the twins keeps the base record.
+        cut = full.ids.index(20)
+        assert 20 not in overlay_top_k(base, overlay, function, cut).ids
+
+    def test_deadline_expiring_after_the_sweep_names_the_merge(self, rng):
+        dataset = Dataset(rng.uniform(0.0, 10.0, (40, 3)))
+        base, overlay = self.overlay_over(
+            dataset, range(30), inserts=range(30, 34)
+        )
+        chunks = len(base._chunk_schedule(5))
+
+        class ExpiresAfter(Deadline):
+            """Alive for ``checks`` looks at the clock, expired after."""
+
+            def remaining(self) -> float:
+                looks.append(1)
+                return 1.0 if len(looks) <= checks else -1.0
+
+        function = LinearFunction([0.5, 0.3, 0.2])
+        deadline = ExpiresAfter(expires_at=0.0, total_ms=10.0)
+        looks, checks = [], chunks  # every kernel check passes
+        stats = AccessCounter()
+        with pytest.raises(DeadlineExceeded) as excinfo:
+            overlay_top_k(
+                base, overlay, function, 5, stats=stats, deadline=deadline
+            )
+        assert excinfo.value.stage == "overlay-merge"
+        assert stats.computed == base.num_records  # swept, never merged
+        looks, checks = [], chunks + 1  # ...and one more look lets it finish
+        result = overlay_top_k(base, overlay, function, 5, deadline=deadline)
+        assert result.stats.computed == base.num_records + 4
+        looks, checks = [], 0  # expiry before the sweep is the kernel's
+        with pytest.raises(DeadlineExceeded) as excinfo:
+            overlay_top_k(base, overlay, function, 5, deadline=deadline)
+        assert excinfo.value.stage == "kernel"
 
 
 # ----------------------------------------------------------------------

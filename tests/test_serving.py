@@ -327,6 +327,45 @@ class TestQueries:
         assert degraded.epoch == clean.epoch
 
 
+class TestMalformedQueries:
+    """A caller's mistake is refused up front, not treated as a tier fault."""
+
+    def test_wrong_dims_and_bad_k_raise_without_touching_the_ladder(
+        self, serving, recwarn
+    ):
+        def breaker():
+            return serving.health()["breakers"]["tier:compiled"]
+
+        serving.query(weights3(), 5)
+        before = breaker()
+        admitted = serving.health()["admission"]["admitted"]
+        for _ in range(50):
+            with pytest.raises(ValueError, match="function dims 4 != snapshot dims 3"):
+                serving.query(LinearFunction([1.0, 1.0, 1.0, 1.0]), 5)
+            with pytest.raises(ValueError, match="k must be positive"):
+                serving.query(weights3(), 0)
+            with pytest.raises(ValueError, match="k must be positive"):
+                serving.query_batch([weights3(), weights3()], -1)
+            with pytest.raises(ValueError, match="function dims 2 != snapshot dims 3"):
+                serving.query_batch([weights3(), LinearFunction([1.0, 1.0])], 5)
+        assert not [w for w in recwarn if w.category is DegradedResultWarning]
+        after = breaker()
+        assert after["state"] == "closed" and after["window_failures"] == 0
+        assert after["window_calls"] == before["window_calls"]
+        assert serving.health()["admission"]["admitted"] == admitted
+        good = serving.query(LinearFunction([0.2, 0.3, 0.5]), 5)
+        assert good.tier == "compiled"
+        assert serving.query_batch([], -1) == []  # nothing asked, nothing wrong
+
+    def test_functions_without_dims_are_left_to_the_kernel(self, serving, dataset):
+        from repro.core.functions import MinFunction
+
+        assert not hasattr(MinFunction(), "dims")
+        result = serving.query(MinFunction(), 3)
+        assert result.tier == "compiled"
+        assert_correct_topk(result, dataset, MinFunction(), 3)
+
+
 class TestWriterPoisoning:
     def test_validation_failure_does_not_poison(self, partial):
         index, _dataset = partial
@@ -398,6 +437,65 @@ class TestAdmission:
             with pytest.raises(ServiceOverloaded):
                 with admission.admit():
                     pass
+
+    def test_exception_in_the_body_releases_the_slot(self):
+        from repro.serve import AdmissionController
+
+        admission = AdmissionController(max_concurrent=1, max_waiting=0)
+        for _ in range(3):  # a leaked slot would shed the second round
+            with pytest.raises(RuntimeError, match="boom"):
+                with admission.admit():
+                    assert admission.active == 1
+                    raise RuntimeError("boom")
+            assert admission.active == 0
+        assert admission.stats.as_dict() == {
+            "admitted": 3, "completed": 3, "shed": 0, "peak_active": 1,
+        }
+
+    def test_refusals_happen_on_entering_and_hold_nothing(self):
+        import time
+
+        from repro.errors import DeadlineExceeded
+        from repro.resilience import Deadline
+        from repro.serve import AdmissionController
+
+        admission = AdmissionController(
+            max_concurrent=1, max_waiting=0, wait_timeout=0.01
+        )
+        expired = Deadline(expires_at=time.monotonic() - 1.0, total_ms=1.0)
+        # Asking for a slot refuses nothing; entering the block does.
+        late, crowded = admission.admit(deadline=expired), admission.admit()
+        with pytest.raises(DeadlineExceeded) as excinfo:
+            with late:
+                pytest.fail("the body must not run")
+        assert excinfo.value.stage == "admission"
+        assert admission.active == 0 and admission.waiting == 0
+        with admission.admit():
+            with pytest.raises(ServiceOverloaded):
+                with crowded:
+                    pytest.fail("the body must not run")
+            assert admission.active == 1  # the holder kept its slot
+        assert admission.active == 0 and admission.waiting == 0
+        # admitted counts entries, completed counts exits, refusals neither.
+        assert admission.stats.as_dict() == {
+            "admitted": 1, "completed": 1, "shed": 1, "peak_active": 1,
+        }
+
+    def test_stats_count_entries_exits_and_the_high_water_mark(self):
+        from repro.serve import AdmissionController
+
+        admission = AdmissionController(max_concurrent=3)
+        with admission.admit():
+            with admission.admit():
+                assert admission.stats.admitted == 2
+                assert admission.stats.completed == 0
+            assert admission.stats.completed == 1
+            with admission.admit():
+                pass
+        assert admission.snapshot() == {
+            "active": 0, "waiting": 0, "max_concurrent": 3, "max_waiting": 16,
+            "admitted": 3, "completed": 3, "shed": 0, "peak_active": 2,
+        }
 
     def test_retry_backoff_schedule_is_deterministic(self):
         from repro.serve import retry_with_backoff
