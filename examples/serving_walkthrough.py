@@ -33,10 +33,8 @@ PREFER = LinearFunction([0.5, 0.2, 0.3])
 
 
 def survivors(index: ServingIndex) -> list:
-    compiled = index.snapshot().compiled
-    return sorted(
-        int(r) for r in compiled.record_ids[~compiled.pseudo_mask].tolist()
-    )
+    # Overlay-aware: unfolded inserts and deletions ride on the base.
+    return sorted(int(r) for r in index.snapshot().alive_ids().tolist())
 
 
 def main() -> None:

@@ -829,7 +829,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         indexed = {int(r) for r in index.snapshot().alive_ids().tolist()}
         pending = [
             rid
-            for rid in range(len(index._graph.dataset))
+            for rid in range(len(index._materialized_graph().dataset))
             if rid not in indexed
         ]
         mutations = 0

@@ -58,6 +58,7 @@ import zlib
 
 import numpy as np
 
+from repro.core.compiled import CompiledDG
 from repro.core.dataset import Dataset
 from repro.core.graph import DominantGraph
 from repro.errors import DegradedResultWarning, IndexCorruptionError
@@ -261,6 +262,20 @@ def _read_payload(path: str) -> dict:
     return payload
 
 
+def _load_payload(path: str) -> dict:
+    """An archive's payload, read, checksummed and validated — no graph.
+
+    Everything :func:`load_graph` checks before it constructs anything;
+    the serving index recovers from this payload without building the
+    graph until a writer needs it.
+    """
+    payload = _read_payload(path)
+    if _negotiate_version(payload, path) >= 2:
+        _verify_manifest(payload, path)
+    _validate_payload(payload, path)
+    return payload
+
+
 def _negotiate_version(payload: dict, path: str) -> int:
     if "format_version" not in payload:
         raise IndexCorruptionError(
@@ -392,8 +407,17 @@ def _validate_payload(payload: dict, path: str) -> None:
     if edges.shape[1] != 2:
         bad("edges", f"expected (e, 2) parent, child rows, got {edges.shape}")
     if edges.size:
-        by_pair = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
-        if (by_pair[1:] == by_pair[:-1]).all(axis=1).any():
+        # One sort of a packed (parent, child) key.  Endpoints are not
+        # range-checked yet, so a span too wide to pack is first ranked.
+        low = edges.min()
+        span = int(edges.max()) - int(low) + 1
+        if span <= 1 << 31:
+            offsets = (edges - low).astype(np.int64)
+        else:
+            offsets = np.unique(edges, return_inverse=True)[1].reshape(edges.shape)
+            span = edges.size
+        keys = np.sort(offsets[:, 0] * span + offsets[:, 1])
+        if (keys[1:] == keys[:-1]).any():
             bad("edges", "duplicate edges")
         known = np.isin(edges, record_ids)
         # Record ids are in range by now, so a table by id can hold the layers.
@@ -445,6 +469,40 @@ def _construct(payload: dict, path: str) -> DominantGraph:
     return graph
 
 
+def _compile_payload(payload: dict) -> CompiledDG:
+    """``_construct(payload).compile()``, from the arrays alone.
+
+    A validated payload already holds the snapshot: sorted by ``(layer,
+    id)`` — the order :func:`payload_from_graph` writes, so the sort
+    below is a no-op for every file this package produced — the values
+    are dataset rows, except that minted pseudo ids (past the dataset)
+    take their ``pseudo_vectors``; real rows converted by
+    ``mark_deleted`` keep their dataset row, exactly as
+    :func:`_construct` re-converts them.
+    """
+    values = np.asarray(payload["values"], dtype=np.float64)
+    record_ids = payload["record_ids"].astype(np.int64)
+    layer_of = payload["layer_of"].astype(np.int64)
+    order = np.argsort(layer_of * (int(record_ids.max(initial=0)) + 1) + record_ids)
+    record_ids, layer_of = record_ids[order], layer_of[order]
+    pseudo_ids = payload["pseudo_ids"].astype(np.int64)
+    minted = record_ids >= values.shape[0]
+    rows = values.take(np.where(minted, 0, record_ids), axis=0)
+    if minted.any():
+        by_id = np.argsort(pseudo_ids)
+        found = by_id[np.searchsorted(pseudo_ids, record_ids[minted], sorter=by_id)]
+        rows[minted] = payload["pseudo_vectors"][found]
+    return CompiledDG.from_arrays(
+        {
+            "values": rows,
+            "record_ids": record_ids,
+            "layer_index": layer_of.astype(np.int32),
+            "pseudo_mask": np.isin(record_ids, pseudo_ids),
+        },
+        first_layer_size=int(np.searchsorted(layer_of, 0, side="right")),
+    )
+
+
 def load_graph(
     path: str,
     validate: bool = False,
@@ -480,11 +538,7 @@ def load_graph(
     if not path.endswith(".npz") and not os.path.exists(path):
         path = path + ".npz"
     try:
-        payload = _read_payload(path)
-        version = _negotiate_version(payload, path)
-        if version >= 2:
-            _verify_manifest(payload, path)
-        graph = graph_from_payload(payload, path)
+        graph = _construct(_load_payload(path), path)
     except IndexCorruptionError as exc:
         if not repair:
             raise

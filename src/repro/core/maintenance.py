@@ -42,7 +42,7 @@ for deletion — mark the record as pseudo so the Advanced Traveler skips it
 from __future__ import annotations
 
 import time
-from typing import Iterable
+from typing import Iterable, Protocol, Sized
 
 import numpy as np
 
@@ -375,8 +375,19 @@ def delete_record(graph: DominantGraph, record_id: int) -> None:
     graph.prune_empty_layers()
 
 
+class _Membership(Protocol):
+    """What batch validation reads of a graph: who is indexed, and how
+    many dataset rows there are.  Recovery validates a WAL suffix against
+    a checkpoint payload through the same two questions."""
+
+    @property
+    def dataset(self) -> Sized: ...
+
+    def __contains__(self, record_id: int) -> bool: ...
+
+
 def validate_insert_batch(
-    graph: DominantGraph, record_ids: Iterable[int]
+    graph: _Membership, record_ids: Iterable[int]
 ) -> list[int]:
     """Normalize and fully validate an insertion batch *before* mutation.
 
@@ -399,7 +410,7 @@ def validate_insert_batch(
 
 
 def validate_delete_batch(
-    graph: DominantGraph, record_ids: Iterable[int]
+    graph: _Membership, record_ids: Iterable[int]
 ) -> list[int]:
     """Normalize and fully validate a deletion batch *before* mutation.
 
@@ -503,12 +514,12 @@ class OverlayBuilder:
     """
 
     def __init__(self, base: CompiledDG) -> None:
-        pseudo = base.pseudo_mask
-        self._base_rows: "dict[int, int]" = {
-            int(rid): dense
-            for dense, rid in enumerate(base.record_ids.tolist())
-            if not pseudo[dense]
-        }
+        # Dense row of each real base record by id, -1 for pseudo or
+        # absent ids: one scatter, paid by every open, fold and create.
+        real = ~base.pseudo_mask
+        ids = base.record_ids
+        self._base_rows = np.full(int(ids.max(initial=-1)) + 1, -1, dtype=np.int64)
+        self._base_rows[ids[real]] = np.flatnonzero(real)
         self._dims = int(base.values.shape[1])
         self._delta: "dict[int, np.ndarray]" = {}
         self._deleted: "set[int]" = set()
@@ -517,6 +528,14 @@ class OverlayBuilder:
     def _touch(self) -> None:
         if self._first_change is None:
             self._first_change = time.monotonic()
+
+    def _base_row(self, record_id: int) -> "int | None":
+        """Dense row of a real base record, ``None`` for any other id."""
+        if 0 <= record_id < self._base_rows.shape[0]:
+            row = int(self._base_rows[record_id])
+            if row >= 0:
+                return row
+        return None
 
     @property
     def size(self) -> int:
@@ -536,7 +555,7 @@ class OverlayBuilder:
         self._delta[record_id] = np.array(
             vector, dtype=np.float64, copy=True
         )
-        row = self._base_rows.get(record_id)
+        row = self._base_row(record_id)
         if row is not None:
             self._deleted.add(row)
 
@@ -546,7 +565,7 @@ class OverlayBuilder:
         if record_id in self._delta:
             del self._delta[record_id]
             return
-        row = self._base_rows.get(record_id)
+        row = self._base_row(record_id)
         if row is None:
             raise KeyError(
                 f"record {record_id} is neither in the overlay nor a "

@@ -59,9 +59,18 @@ it replaces.  The fabric keeps serving whole compiled snapshots: batch
 reads ride the workers only while the overlay is empty, and compaction
 (not each mutation) republishes the shared segment.  Overlay-application
 failure and compactor failure both degrade to the full-recompile
-publish — never wrong, only slower.  Recovery replays the WAL and
-compiles from scratch, which *is* a compaction, so crash recovery is
-bit-identical to full WAL replay by construction.
+publish — never wrong, only slower.
+
+**Serve before rebuild (recovery).**  Only writers need the mutable
+graph; a read touches nothing but the compiled arrays.  So recovery
+verifies and validates the checkpoint, compiles its arrays straight
+into the base, turns the WAL suffix past the checkpoint into the
+overlay — the same base+overlay a live writer would have published —
+and serves.  The graph (checkpoint plus replay through Section V
+maintenance, exactly what recovery used to do up front) is built once,
+by the first write, fold or checkpoint that needs it.  Answers are
+bit-identical either way, by the same argument that makes a publish
+through the overlay bit-identical to a recompile.
 
 Query admission is bounded (:mod:`repro.serve.admission`): overload
 sheds instead of queueing without bound, transient engine faults are
@@ -76,7 +85,8 @@ Directory layout::
     <dir>/wal.log               repro.serve.wal
     <dir>/delta-current.dgs     overlay sidecar (kind="delta"; derived
                                 data for doctor/tooling, rewritten per
-                                delta publish, removed at compaction)
+                                delta publish and at open, removed at
+                                compaction; never read back)
     <dir>/snapshots/            fabric snapshot spool (store files, when
                                 workers > 0; derived data, never durable)
     <dir>/quarantine/           checkpoints that failed verification
@@ -98,7 +108,7 @@ import time
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Iterable, NoReturn
 
 import numpy as np
 
@@ -108,7 +118,13 @@ from repro.core.dataset import Dataset
 from repro.core.functions import ScoringFunction, WherePredicate
 from repro.core.graph import DominantGraph
 from repro.core.guard import BudgetedAccessCounter
-from repro.core.io import fsync_directory, load_graph, save_graph
+from repro.core.io import (
+    _compile_payload,
+    _construct,
+    _load_payload as _load_npz_payload,
+    fsync_directory,
+    save_graph,
+)
 from repro.core.maintenance import (
     OverlayBuilder,
     delete_record,
@@ -142,7 +158,8 @@ from repro.serve.admission import AdmissionController
 from repro.serve.cache import CacheKey, ResultCache, cache_key
 from repro.serve.compactor import Compactor
 from repro.store.deltastore import save_delta_store
-from repro.store.graphstore import load_graph_store, save_graph_store
+from repro.store.graphstore import _load_payload as _load_store_payload
+from repro.store.graphstore import save_graph_store
 from repro.store.mapped import MappedStore, open_store
 from repro.store.scrub import StoreScrubber
 from repro.serve.wal import WriteAheadLog, create_wal, scan_wal
@@ -161,6 +178,9 @@ _PUBLISH_SAMPLE_WINDOW = 512
 #: Sidecar spool throttle: at most one rewrite per this many seconds
 #: (the first delta publish after a fold always spools).
 _SIDECAR_MIN_INTERVAL = 0.1
+#: ``overlay_limit`` when none is given (``open`` reads it before
+#: ``__init__`` does).
+_OVERLAY_LIMIT = 128
 
 
 def _save_checkpoint(graph: DominantGraph, path: str, seq: int) -> str:
@@ -170,16 +190,17 @@ def _save_checkpoint(graph: DominantGraph, path: str, seq: int) -> str:
     return save_graph_store(graph, path, applied_seq=seq, durable=True)
 
 
-def _load_checkpoint(path: str) -> DominantGraph:
-    """Load a checkpoint in whichever format ``CURRENT`` names.
+def _load_checkpoint(path: str) -> dict:
+    """The payload of the checkpoint ``CURRENT`` names, in either format.
 
-    ``.dgs`` store checkpoints and legacy ``.npz`` archives both come
-    back as the same validated :class:`DominantGraph`; corruption in
-    either raises a typed :class:`~repro.errors.IndexCorruptionError`.
+    ``.dgs`` store checkpoints (every section re-hashed) and legacy
+    ``.npz`` archives (manifest-checked) both come back fully
+    validated, the graph not yet built; corruption in either raises a
+    typed :class:`~repro.errors.IndexCorruptionError`.
     """
     if path.endswith(".dgs"):
-        return load_graph_store(path)
-    return load_graph(path)
+        return _load_store_payload(path)
+    return _load_npz_payload(path)
 
 
 # ----------------------------------------------------------------------
@@ -208,6 +229,153 @@ def apply_op(graph: DominantGraph, op: dict) -> None:
             delete_record(graph, rid)
     else:
         raise ValueError(f"unknown WAL operation {kind!r}")
+
+
+# ----------------------------------------------------------------------
+# Recovery: a checkpoint payload plus the WAL suffix past it
+# ----------------------------------------------------------------------
+def _logged_ids(op: object) -> "tuple[str | None, list[int]]":
+    """``(kind, ids)`` of an op shaped as the live writer logs it.
+
+    ``(None, [])`` for anything else — recovery then replays it into
+    the graph, which raises on it exactly as it always has.
+    """
+    if isinstance(op, dict):
+        kind = op.get("op")
+        if kind in ("insert", "delete", "mark_deleted"):
+            ids = [op.get("rid")]
+        elif kind in ("insert_many", "delete_many"):
+            ids = op.get("rids")
+        else:
+            return None, []
+        if isinstance(ids, list) and all(type(rid) is int for rid in ids):
+            return kind, ids
+    return None, []
+
+
+class _SuffixMembership:
+    """Who is indexed while a WAL suffix replays over a checkpoint payload.
+
+    :func:`~repro.core.maintenance.validate_insert_batch` and
+    :func:`~repro.core.maintenance.validate_delete_batch` ask a graph
+    two things — ``rid in graph`` and ``len(graph.dataset)`` — and this
+    answers both from the payload, so recovery refuses an op with the
+    message replaying it into the graph would give.  It is exact for
+    *settled* ids only: dataset rows that are real records or not
+    indexed at all.  Whether a pseudo record — minted, or a row
+    ``mark_deleted`` converted — is still indexed depends on the graph
+    itself (a delete's cascade collects childless ones), so an op
+    naming one is replayed into the graph instead.
+    """
+
+    def __init__(self, payload: dict) -> None:
+        #: Validation reads only the dataset's length.
+        self.dataset: np.ndarray = payload["values"]
+        rows = len(self.dataset)
+        record_ids = payload["record_ids"]
+        self._indexed = np.zeros(rows, dtype=bool)
+        self._indexed[record_ids[record_ids < rows]] = True
+        self._unsettled = set(payload["pseudo_ids"].tolist())
+
+    def __contains__(self, record_id: int) -> bool:
+        return bool(self._indexed[record_id])  # asked for settled ids only
+
+    def settled(self, record_ids: "list[int]") -> bool:
+        """True when every id is a dataset row whose membership is exact."""
+        rows = self._indexed.shape[0]
+        return all(
+            0 <= rid < rows and rid not in self._unsettled
+            for rid in record_ids
+        )
+
+    def apply(self, kind: str, record_ids: "list[int]") -> None:
+        """Track a validated op's effect on membership."""
+        if kind == "mark_deleted":
+            self._unsettled.update(record_ids)
+        else:
+            self._indexed[record_ids] = kind.startswith("insert")
+
+
+@dataclass
+class _Recovery:
+    """A validated checkpoint payload and the WAL suffix past its watermark.
+
+    Enough to serve — the base compiled straight from the payload, the
+    suffix as an overlay on it (:meth:`replay_as_overlay`) — and to
+    build the mutable graph once a writer needs it (:meth:`graph`).
+    """
+
+    payload: dict
+    checkpoint_path: str
+    wal_path: str
+    #: ``(seq, op)`` records with ``seq`` past the checkpoint's watermark.
+    suffix: list
+    #: Set by :meth:`replay_as_overlay`: the base, and the suffix on it.
+    base: CompiledDG | None = None
+    builder: OverlayBuilder | None = None
+
+    def graph(self) -> DominantGraph:
+        """Checkpoint + replay: the graph the live writer left behind.
+
+        Replay calls the same Section V maintenance code the live writer
+        used, so the graph is *constructed by* the operations, not
+        approximated from them.
+        """
+        graph = _construct(self.payload, self.checkpoint_path)
+        for seq, op in self.suffix:
+            try:
+                apply_op(graph, op)
+            except (KeyError, ValueError, IndexError) as exc:
+                self._unreplayable(seq, op, exc)
+        return graph
+
+    def replay_as_overlay(self, limit: int) -> bool:
+        """Compile the payload into the base and the suffix into an overlay.
+
+        Every op is validated first, against the payload's membership,
+        by the rules replay applies — a WAL the graph would refuse is
+        refused here, with the same :class:`~repro.errors.WALCorruptionError`.
+        ``False`` means the graph must be built now: the overlay would
+        outgrow ``limit``, or an op names an id only the graph can
+        answer for (see :class:`_SuffixMembership`), or is not shaped as
+        the live writer logs it.
+        """
+        base = _compile_payload(self.payload)
+        builder = OverlayBuilder(base)
+        members = _SuffixMembership(self.payload)
+        values = self.payload["values"]
+        for seq, op in self.suffix:
+            kind, ids = _logged_ids(op)
+            if kind is None or not members.settled(ids):
+                return False
+            inserting = kind.startswith("insert")
+            try:
+                if inserting:
+                    validate_insert_batch(members, ids)
+                else:
+                    validate_delete_batch(members, ids)
+            except (KeyError, ValueError, IndexError) as exc:
+                self._unreplayable(seq, op, exc)
+            members.apply(kind, ids)
+            try:
+                for rid in ids:
+                    if inserting:
+                        builder.insert(rid, values[rid])
+                    else:
+                        builder.delete(rid)
+            except KeyError:
+                return False
+            if builder.size > limit:
+                return False
+        self.base, self.builder = base, builder
+        return True
+
+    def _unreplayable(self, seq: int, op: dict, exc: Exception) -> NoReturn:
+        raise WALCorruptionError(
+            f"record {seq} ({op.get('op')!r}) no longer applies to "
+            f"the checkpointed index: {exc}",
+            path=self.wal_path,
+        ) from exc
 
 
 # ----------------------------------------------------------------------
@@ -444,7 +612,7 @@ class ServingIndex:
     def __init__(
         self,
         directory: str,
-        graph: DominantGraph,
+        graph: "DominantGraph | _Recovery",
         wal: WriteAheadLog,
         *,
         fsync: str = "always",
@@ -460,12 +628,19 @@ class ServingIndex:
         timeout_policy: TimeoutPolicy | None = None,
         retry_policy: RetryPolicy | None = None,
         scrub_interval: float | None = None,
-        overlay_limit: int | None = 128,
+        overlay_limit: int | None = _OVERLAY_LIMIT,
         compact_interval: float | None = None,
         compact_age: float | None = 2.0,
     ) -> None:
         self._directory = directory
-        self._graph = graph
+        # The mutable graph, or — after a recovery that served from the
+        # checkpoint's arrays — what builds it (see _materialized_graph).
+        self._graph: DominantGraph | None = None
+        self._recovery: _Recovery | None = None
+        if isinstance(graph, DominantGraph):
+            self._graph = graph
+        else:
+            self._recovery = graph
         self._wal = wal
         self._fsync = fsync
         self._checkpoint_interval = checkpoint_interval
@@ -516,13 +691,28 @@ class ServingIndex:
         self._draining = False
         self._closed = False
         self._poisoned: Exception | None = None
-        self._snapshot = self._compile_base_locked(epoch=0)
-        if self._overlay_limit > 0:
-            self._overlay_builder = OverlayBuilder(self._snapshot.compiled)
-        # Recovery is an implicit compaction: the WAL was replayed into
-        # the graph and compiled from scratch, so any overlay sidecar on
-        # disk describes a base that no longer exists.
+        recovery = self._recovery
+        if recovery is not None and recovery.builder is not None:
+            # Served from the checkpoint's arrays: the WAL suffix is the
+            # overlay, and the graph it would have been replayed into is
+            # not built until a writer asks for it.
+            assert recovery.base is not None
+            self._edges_at_fold = int(recovery.payload["edges"].shape[0])
+            self._overlay_builder = recovery.builder
+            self._snapshot = ServingSnapshot(
+                compiled=recovery.base,
+                epoch=0,
+                seq=wal.last_seq,
+                overlay=recovery.builder.freeze(),
+            )
+        else:
+            self._snapshot = self._compile_base_locked(epoch=0)
+            if self._overlay_limit > 0:
+                self._overlay_builder = OverlayBuilder(self._snapshot.compiled)
+        # Whatever overlay sidecar is on disk — stale, torn, or current —
+        # is never read: it is replaced by one describing this overlay.
         self._remove_delta_sidecar()
+        self._spool_delta_sidecar(self._snapshot)
         self._cache = ResultCache(cache_size) if cache_size else None
         self._fabric: ParallelQueryExecutor | None = None
         if workers > 0:
@@ -599,21 +789,35 @@ class ServingIndex:
 
     @classmethod
     def open(cls, directory: str, **kwargs: Any) -> "ServingIndex":
-        """Recover a serving directory: checkpoint + WAL replay.
+        """Recover a serving directory: checkpoint + WAL suffix.
+
+        Serves before it rebuilds.  The checkpoint is verified (every
+        section re-hashed) and validated as it always was, then its
+        arrays *are* the base snapshot — already in ``(layer, id)``
+        order — and the WAL records past its sequence watermark become
+        the overlay, each validated by the rules replay applies; reads
+        are answered from base + overlay at epoch 0.  The mutable
+        :class:`~repro.core.graph.DominantGraph` (checkpoint plus
+        replay through Section V maintenance) is built once, under the
+        writer lock, by the first operation that needs it: a write, a
+        fold, a checkpoint.  When the overlay cannot express the suffix
+        — it outgrows ``overlay_limit``, the overlay is disabled, or an
+        op names a pseudo record — the graph is built here instead.
 
         Tolerates every crash window of the write path: a torn WAL tail
         is dropped (with a :class:`~repro.errors.DegradedResultWarning`
         naming the bytes lost), an orphan checkpoint from an interrupted
-        checkpoint swap is garbage-collected, and a WAL that predates
-        the checkpoint is replayed only past the checkpoint's sequence
-        watermark.  Real corruption — mid-log damage, a WAL from the
-        future, a replay that no longer applies — raises typed errors
-        rather than guessing.
+        checkpoint swap is garbage-collected, a stale or torn overlay
+        sidecar is never read (it is rewritten from the recovered
+        overlay), and a WAL that predates the checkpoint is replayed
+        only past the checkpoint's sequence watermark.  Real corruption
+        — mid-log damage, a WAL from the future, a replay that no longer
+        applies — raises typed errors rather than guessing.
         """
         checkpoint, applied_seq = _read_current(directory)
         checkpoint_path = os.path.join(directory, checkpoint)
         try:
-            graph = _load_checkpoint(checkpoint_path)
+            payload = _load_checkpoint(checkpoint_path)
         except StoreCorruptionError:
             # Quarantine-not-serve: keep the evidence, surface the typed
             # error.  Rebuild with `repro serve --init` (or restore the
@@ -649,21 +853,23 @@ class ServingIndex:
                 ),
                 stacklevel=2,
             )
-        for seq, op in scan.records:
-            if seq <= applied_seq:
-                continue  # already inside the checkpoint
-            try:
-                apply_op(graph, op)
-            except (KeyError, ValueError, IndexError) as exc:
-                raise WALCorruptionError(
-                    f"record {seq} ({op.get('op')!r}) no longer applies to "
-                    f"the checkpointed index: {exc}",
-                    path=wal_path,
-                ) from exc
+        recovery = _Recovery(
+            payload,
+            checkpoint_path,
+            wal_path,
+            # Records up to the watermark are already inside the checkpoint.
+            [(seq, op) for seq, op in scan.records if seq > applied_seq],
+        )
+        limit = int(kwargs.get("overlay_limit", _OVERLAY_LIMIT) or 0)
+        source: DominantGraph | _Recovery = recovery
+        if not (limit and recovery.replay_as_overlay(limit)):
+            source = recovery.graph()
 
         _collect_orphan_checkpoints(directory, keep=checkpoint)
-        wal = WriteAheadLog(wal_path, fsync=kwargs.get("fsync", "always"))
-        return cls(directory, graph, wal, **kwargs)
+        wal = WriteAheadLog(
+            wal_path, fsync=kwargs.get("fsync", "always"), scan=scan
+        )
+        return cls(directory, source, wal, **kwargs)
 
     def close(
         self, *, drain_timeout: float | None = 10.0, checkpoint: bool = True
@@ -1059,8 +1265,8 @@ class ServingIndex:
         rid = int(record_id)
         return self._mutate(
             {"op": "insert", "rid": rid},
-            validate=lambda: validate_insert_batch(self._graph, [rid]),
-            apply=lambda: insert_record(self._graph, rid),
+            validate=lambda graph: validate_insert_batch(graph, [rid]),
+            apply=lambda graph: insert_record(graph, rid),
         )
 
     def delete(self, record_id: int) -> None:
@@ -1068,8 +1274,8 @@ class ServingIndex:
         rid = int(record_id)
         return self._mutate(
             {"op": "delete", "rid": rid},
-            validate=lambda: validate_delete_batch(self._graph, [rid]),
-            apply=lambda: delete_record(self._graph, rid),
+            validate=lambda graph: validate_delete_batch(graph, [rid]),
+            apply=lambda graph: delete_record(graph, rid),
         )
 
     def mark_deleted(self, record_id: int) -> None:
@@ -1077,8 +1283,8 @@ class ServingIndex:
         rid = int(record_id)
         return self._mutate(
             {"op": "mark_deleted", "rid": rid},
-            validate=lambda: validate_delete_batch(self._graph, [rid]),
-            apply=lambda: mark_deleted(self._graph, rid),
+            validate=lambda graph: validate_delete_batch(graph, [rid]),
+            apply=lambda graph: mark_deleted(graph, rid),
         )
 
     def insert_many(self, record_ids: Iterable[int]) -> list[int]:
@@ -1093,8 +1299,8 @@ class ServingIndex:
             return []
         return self._mutate(
             {"op": "insert_many", "rids": rids},
-            validate=lambda: validate_insert_batch(self._graph, rids),
-            apply=lambda: [insert_record(self._graph, r) for r in rids],
+            validate=lambda graph: validate_insert_batch(graph, rids),
+            apply=lambda graph: [insert_record(graph, r) for r in rids],
         )
 
     def delete_many(self, record_ids: Iterable[int]) -> None:
@@ -1104,16 +1310,17 @@ class ServingIndex:
             return None
         return self._mutate(
             {"op": "delete_many", "rids": rids},
-            validate=lambda: validate_delete_batch(self._graph, rids),
-            apply=lambda: [delete_record(self._graph, r) for r in rids],
+            validate=lambda graph: validate_delete_batch(graph, rids),
+            apply=lambda graph: [delete_record(graph, r) for r in rids],
         )
 
     def _mutate(self, op: dict, *, validate, apply):
         with self._writer_lock:
             self._require_writable()
-            validate()  # raises before anything is touched
+            graph = self._materialized_graph()
+            validate(graph)  # raises before anything is touched
             try:
-                result = apply()
+                result = apply(graph)
             except Exception as exc:  # repro: noqa[typed-errors] -- any mid-apply failure, whatever its type, must poison the writer
                 # Validation passed yet apply failed: the in-memory graph
                 # may be half-mutated.  Nothing was logged or published,
@@ -1226,18 +1433,36 @@ class ServingIndex:
     def _compile_base_locked(self, *, epoch: int) -> ServingSnapshot:
         """Compile the graph into a detached, overlay-free base snapshot.
 
-        Every fold goes through here — open (before the index is
-        shared), full-recompile publish and compaction (both under the
-        writer lock) — so this is also where the graph's edge count is
-        captured for :meth:`health`, which must not walk a graph the
-        writer may be mutating.
+        Every fold goes through here — create and an open that built
+        the graph (before the index is shared), full-recompile publish
+        and compaction (both under the writer lock) — so this is also
+        where the graph's edge count is captured for :meth:`health`,
+        which must not walk a graph the writer may be mutating.
         """
-        self._edges_at_fold = self._graph.edge_count()
+        graph = self._materialized_graph()
+        self._edges_at_fold = graph.edge_count()
         return ServingSnapshot(
-            compiled=self._graph.compile().detach(),
+            compiled=graph.compile().detach(),
             epoch=epoch,
             seq=self._wal.last_seq,
         )
+
+    def _materialized_graph(self) -> DominantGraph:
+        """The mutable graph — built here, once, if recovery deferred it.
+
+        The one way to the graph: writes, folds, checkpoints and the
+        scrubber's rewrite all come through here, under the writer lock,
+        and the first of them to arrive after an :meth:`open` that served
+        from the checkpoint's arrays pays for building it (checkpoint
+        plus replay of the WAL suffix the overlay holds).  Reads and
+        :meth:`health` never do.
+        """
+        with self._writer_lock:
+            if self._graph is None:
+                assert self._recovery is not None
+                self._graph = self._recovery.graph()
+                self._recovery = None
+            return self._graph
 
     def _apply_overlay_op(self, builder: OverlayBuilder, op: dict) -> None:
         """Mirror one WAL operation into the overlay builder.
@@ -1248,14 +1473,15 @@ class ServingIndex:
         here is safe: the caller degrades to a full-recompile publish.
         """
         kind = op.get("op")
+        graph = self._materialized_graph()
         if kind == "insert":
             rid = int(op["rid"])
-            builder.insert(rid, self._graph.vector(rid))
+            builder.insert(rid, graph.vector(rid))
         elif kind in ("delete", "mark_deleted"):
             builder.delete(int(op["rid"]))
         elif kind == "insert_many":
             for rid in op["rids"]:
-                builder.insert(int(rid), self._graph.vector(int(rid)))
+                builder.insert(int(rid), graph.vector(int(rid)))
         elif kind == "delete_many":
             for rid in op["rids"]:
                 builder.delete(int(rid))
@@ -1415,7 +1641,7 @@ class ServingIndex:
             return name  # nothing to checkpoint
         self._wal.sync()  # the log must be durable up to seq first
         _save_checkpoint(
-            self._graph, os.path.join(self._directory, name), seq
+            self._materialized_graph(), os.path.join(self._directory, name), seq
         )
         _write_current(self._directory, name, seq)
         # The swap is the commit point; everything after is cleanup that
@@ -1470,6 +1696,8 @@ class ServingIndex:
         checkpoint failed its re-checksum, so the damaged file is moved
         to ``quarantine/`` (preserved as evidence, unservable) and a
         fresh checkpoint is written from the healthy in-memory graph —
+        built, if no writer has yet, from the payload recovery verified
+        and kept in memory, never from the damaged file —
         recompile-from-source, no downtime, queries unaffected
         throughout because they never touch the checkpoint file.
         """
@@ -1502,9 +1730,11 @@ class ServingIndex:
         ``status`` is ``"ok"``, ``"degraded"`` (poisoned writer — reads
         still answer from the last good snapshot), or ``"closed"``.
         ``records`` is overlay-adjusted (current as of the last
-        publish); ``edges`` is the Dominant Graph's edge count *as of
-        the last fold* — the graph keeps changing under a live overlay,
-        and only the writer may walk it.
+        publish); ``edges`` is the edge count of the Dominant Graph the
+        current base was compiled from — after a recovery that has not
+        folded yet, the checkpoint's — since the graph keeps changing
+        under a live overlay, and only the writer may walk it (or, after
+        such a recovery, build it: this probe never does).
         """
         snap = self._snapshot
         wal_path = os.path.join(self._directory, WAL_NAME)

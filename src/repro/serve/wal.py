@@ -248,21 +248,23 @@ class WriteAheadLog:
     """Single-writer append handle over a scanned log file.
 
     Opening scans the file (:func:`scan_wal`), truncates any torn tail,
-    and positions for append; the scan's records are exposed so recovery
-    reads and the append handle share one pass.  Not thread-safe by
+    and positions for append; a caller that already scanned it (recovery)
+    passes that ``scan`` so the log is parsed once.  Not thread-safe by
     itself — the :class:`~repro.serve.index.ServingIndex` writer lock
     serializes access, which is the single-writer design of the paper's
     Section V maintenance.
     """
 
-    def __init__(self, path: str, *, fsync: str = "always") -> None:
+    def __init__(
+        self, path: str, *, fsync: str = "always", scan: WALScan | None = None
+    ) -> None:
         if fsync not in FSYNC_POLICIES:
             raise ValueError(
                 f"unknown fsync policy {fsync!r} (choose from {FSYNC_POLICIES})"
             )
         self.path = path
         self.fsync = fsync
-        self.scan = scan_wal(path)
+        self.scan = scan_wal(path) if scan is None else scan
         self._next_seq = self.scan.last_seq + 1
         self._handle = open(path, "r+b")
         self._handle.truncate(self.scan.valid_bytes)

@@ -1,13 +1,13 @@
 """Delta-overlay sidecars in the binary store container.
 
 The base+delta overlay (:mod:`repro.core.overlay`) keeps the durable
-truth in the WAL — recovery replays operations and recompiles, which
-*is* a compaction — so the overlay sidecar is derived data: a
-``kind="delta"`` store file spooled next to the checkpoint on every
-delta publish, letting ``repro doctor`` and offline tooling inspect the
-unfolded changes without replaying the log.  Losing, tearing, or
-corrupting the sidecar therefore costs nothing: the serving index
-ignores a sidecar it cannot read and removes it after every compaction
+truth in the WAL — recovery rebuilds the overlay from the log suffix —
+so the overlay sidecar is derived data: a ``kind="delta"`` store file
+spooled next to the checkpoint on every delta publish, letting ``repro
+doctor`` and offline tooling inspect the unfolded changes without
+replaying the log.  Losing, tearing, or corrupting the sidecar
+therefore costs nothing: the serving index never reads it, rewrites it
+from the overlay it recovers, and removes it after every compaction
 (the overlay it described has been folded into the base).
 
 Staleness stamps bind the sidecar to its position in the store

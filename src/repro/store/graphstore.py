@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.graph import DominantGraph
-from repro.core.io import graph_from_payload, payload_from_graph
+from repro.core.io import _construct, _validate_payload, payload_from_graph
 from repro.store.format import StoreStamp, write_store
 from repro.store.mapped import open_store
 
@@ -77,11 +77,22 @@ def load_graph_store(path: str) -> DominantGraph:
     :class:`~repro.errors.IndexCorruptionError` naming the damaged
     section; a damaged checkpoint can never reach query code.
     """
+    return _construct(_load_payload(path), path)
+
+
+def _load_payload(path: str) -> dict:
+    """A checkpoint's payload, deep-verified and validated — no graph.
+
+    Everything :func:`load_graph_store` checks before it constructs
+    anything; the serving index recovers from this payload and builds
+    the graph only when a writer needs it.
+    """
     with open_store(path, deep=True) as store:
-        # Materialize before the mapping closes: graph reconstruction
-        # owns its arrays, the container only transports them.
+        # Copy before the mapping closes: the payload owns its arrays,
+        # the container only transports them.
         payload = {
             name: np.array(view, copy=True)
             for name, view in store.sections().items()
         }
-    return graph_from_payload(payload, path)
+    _validate_payload(payload, path)
+    return payload

@@ -7,11 +7,16 @@ then simulates a crash by copying the serving directory with the WAL
 truncated at a random byte offset (record boundaries *and* mid-record
 cuts are both drawn).  The recovered index must:
 
-1. pass :func:`repro.core.verify.verify_graph` (structural soundness),
-2. answer top-k bit-identically — same ids, same float scores — to a
+1. answer top-k bit-identically — same ids, same float scores — to a
    from-scratch :func:`~repro.core.builder.build_dominant_graph` over
    the records that survive the surviving operations, for k in
-   {1, 10, 50} over several random weight vectors.
+   {1, 10, 50} over several random weight vectors, as it serves them
+   right after opening (the checkpoint's base plus the WAL suffix as an
+   overlay);
+2. pass :func:`repro.core.verify.verify_graph` (structural soundness)
+   on the graph it then builds from checkpoint + replay;
+3. answer the same queries identically again once that graph is folded
+   into the base.
 
 "Surviving operations" are computed by replaying the truncated WAL's
 intact records over the checkpoint with the same maintenance code — so
@@ -108,33 +113,36 @@ def crash_trial(trial: int, directory: str) -> str:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # torn-tail warnings are expected
         recovered = ServingIndex.open(crash_dir, checkpoint_interval=None)
-    issues = verify_graph(recovered._graph)
-    assert not issues, (
-        f"trial {trial} cut={cut}: recovered graph fails verification: "
-        f"{format_issues(issues)}"
-    )
 
     # Oracle: rebuild from scratch over the records the recovered index
     # says survive.  Bit-identical answers close the loop — recovery is
     # not merely "valid", it is *the* index the surviving operations
     # produce.
-    snapshot = recovered.snapshot().compiled
-    survivors = sorted(
-        int(rid)
-        for rid in snapshot.record_ids[~snapshot.pseudo_mask].tolist()
-    )
+    survivors = sorted(int(rid) for rid in recovered.snapshot().alive_ids().tolist())
     rebuilt = build_dominant_graph(dataset, record_ids=survivors)
     rebuilt_queries = CompiledAdvancedTraveler(rebuilt.compile())
-    for q in range(WEIGHT_VECTORS):
-        weights = rng.random(dims) + 0.05
-        function = LinearFunction(weights)
-        for k in K_VALUES:
-            want = rebuilt_queries.top_k(function, min(k, max(len(survivors), 1)))
-            got = recovered.query(function, min(k, max(len(survivors), 1)))
-            assert got.ids == want.ids and got.scores == want.scores, (
-                f"trial {trial} cut={cut} k={k} q={q}: recovered answers "
-                f"diverge from rebuild ({got.ids} vs {want.ids})"
-            )
+    functions = [LinearFunction(rng.random(dims) + 0.05) for _ in range(WEIGHT_VECTORS)]
+
+    def check_answers(stage: str) -> None:
+        for q, function in enumerate(functions):
+            for k in K_VALUES:
+                want = rebuilt_queries.top_k(function, min(k, max(len(survivors), 1)))
+                got = recovered.query(function, min(k, max(len(survivors), 1)))
+                assert got.ids == want.ids and got.scores == want.scores, (
+                    f"trial {trial} cut={cut} k={k} q={q}: recovered answers "
+                    f"{stage} diverge from rebuild ({got.ids} vs {want.ids})"
+                )
+
+    # First as recovery serves them (checkpoint base + WAL-suffix overlay),
+    # then from the graph the suffix replays into, then once more.
+    check_answers("before the graph is built")
+    issues = verify_graph(recovered._materialized_graph())
+    assert not issues, (
+        f"trial {trial} cut={cut}: recovered graph fails verification: "
+        f"{format_issues(issues)}"
+    )
+    recovered.compact()
+    check_answers("after the graph is built and folded")
     recovered.close(checkpoint=False)
     index.close(checkpoint=False)
     boundary = cut in _record_boundaries(wal_path)

@@ -8,7 +8,9 @@ defined under ``src/repro/``, the figure involves no clock, so it does
 not move with the host or the numpy build — only with the code.  The
 same count over one ``build_dominant_graph`` keeps per-record and
 per-parent Python loops out of the build, and over ``insert_record``
-keeps set-to-array round trips out of a write.
+keeps set-to-array round trips out of a write.  Named-call counts over
+a recovery keep the graph build off the read path and make it happen
+once.
 """
 
 from __future__ import annotations
@@ -156,3 +158,58 @@ def test_overlay_read_selects_once_and_builds_one_result(tmp_path):
     assert calls_named(profiler, "_select_exact") == READS
     calls = package_calls(profiler)
     assert calls / READS <= MAX_CALLS_PER_OVERLAY_READ, calls / READS
+
+
+#: Operations logged past the checkpoint of :func:`recoverable`'s directory.
+SUFFIX_OPS = 20
+
+
+def recoverable(tmp_path) -> str:
+    """A serving directory a killed writer left: a checkpoint and a WAL
+    suffix of ``SUFFIX_OPS`` inserts and deletes past it."""
+    dataset = uniform(2600, 4, seed=5)
+    directory = str(tmp_path / "serve")
+    index = ServingIndex.create(
+        directory, build_dominant_graph(dataset, record_ids=range(2500)), fsync="batch"
+    )
+    for record_id in range(2500, 2510):
+        index.insert(record_id)
+    for record_id in range(10):
+        index.delete(record_id)
+    index.close(checkpoint=False)
+    return directory
+
+
+def test_recovery_serves_reads_without_building_the_graph(tmp_path):
+    """Open, read, close: the checkpoint's arrays and the WAL suffix as an
+    overlay answer everything; the mutable graph is never built and no
+    maintenance runs (the eager open made one ``_construct`` and twenty
+    ``insert_record`` / ``delete_record`` calls here)."""
+    directory = recoverable(tmp_path)
+    weights = np.random.default_rng(7).dirichlet(np.ones(4), size=READS)
+    functions = [LinearFunction(row) for row in weights]
+    profiler = cProfile.Profile()
+    profiler.enable()
+    index = ServingIndex.open(directory, fsync="batch")
+    for function in functions:
+        index.query(function, k=10)
+    index.close(checkpoint=False)
+    profiler.disable()
+    for name in ("graph_from_payload", "_construct", "insert_record", "delete_record"):
+        assert calls_named(profiler, name) == 0, name
+    assert calls_named(profiler, "scan_wal") == 1  # the eager open parsed it twice
+
+
+def test_the_deferred_build_runs_once(tmp_path):
+    """Open plus three writes: one graph built, each suffix op replayed once."""
+    directory = recoverable(tmp_path)
+    profiler = cProfile.Profile()
+    profiler.enable()
+    index = ServingIndex.open(directory, fsync="batch")
+    index.insert(2510)
+    index.delete(2510)
+    index.insert(2511)
+    index.close(checkpoint=False)
+    profiler.disable()
+    assert calls_named(profiler, "_construct") == 1
+    assert calls_named(profiler, "apply_op") == SUFFIX_OPS

@@ -109,10 +109,9 @@ class TestLifecycle:
 
 
 def _indexed(index: ServingIndex) -> set:
-    compiled = index.snapshot().compiled
-    return {
-        int(r) for r in compiled.record_ids[~compiled.pseudo_mask].tolist()
-    }
+    # Overlay-aware: a recovered index serves the WAL suffix as an
+    # overlay on the checkpoint's base.
+    return {int(r) for r in index.snapshot().alive_ids().tolist()}
 
 
 @pytest.fixture
@@ -140,7 +139,7 @@ class TestDurability:
         # No close(): recovery sees checkpoint-0 plus five WAL records.
         recovered = ServingIndex.open(index._directory + "")
         try:
-            assert not verify_graph(recovered._graph)
+            assert not verify_graph(recovered._materialized_graph())
             again = recovered.query(weights3(), k=10)
             assert again.ids == live.ids
             assert again.scores == live.scores
@@ -404,7 +403,7 @@ class TestWriterPoisoning:
         # ... and nothing poisoned was logged: restart recovery is clean.
         recovered = ServingIndex.open(index._directory)
         try:
-            assert not verify_graph(recovered._graph)
+            assert not verify_graph(recovered._materialized_graph())
             assert 20 not in _indexed(recovered)
         finally:
             recovered.close(checkpoint=False)

@@ -19,13 +19,15 @@ import numpy as np
 import pytest
 
 from repro.core.builder import build_dominant_graph
-from repro.core.compiled import CompiledAdvancedTraveler
+from repro.core.compiled import SNAPSHOT_FIELDS, CompiledAdvancedTraveler
 from repro.core.dataset import Dataset
 from repro.core.functions import LinearFunction
 from repro.core.verify import format_issues, verify_graph
 from repro.errors import ServiceUnavailable
-from repro.serve import ServingIndex
-from repro.serve.index import DELTA_SIDECAR
+from repro.serve import ServingIndex, scan_wal
+from repro.serve.index import DELTA_SIDECAR, _read_current
+from repro.store import load_graph_store
+from repro.store.deltastore import load_delta_store
 from repro.testing import Rendezvous, crash_offsets, crashed_copy, run_threads
 
 FN = LinearFunction([0.5, 0.3, 0.2])
@@ -217,7 +219,7 @@ class TestCrashRecovery:
                 warnings.simplefilter("ignore")  # torn tails are expected
                 recovered = ServingIndex.open(crash_dir, fsync="never")
             try:
-                issues = verify_graph(recovered._graph)
+                issues = verify_graph(recovered._materialized_graph())
                 assert not issues, (
                     f"cut={cut}: {format_issues(issues)}"
                 )
@@ -277,14 +279,13 @@ class TestCrashRecovery:
             warnings.simplefilter("ignore")  # torn tails are expected
             recovered = ServingIndex.open(crash_dir, fsync="never")
         try:
-            issues = verify_graph(recovered._graph)
+            # Whatever overlay state the crash interrupted, the reopened
+            # index serves the checkpoint plus exactly the WAL suffix
+            # past CURRENT's watermark, and the sidecar debris was never
+            # read: it is gone, or rewritten from that overlay.
+            self._assert_overlay_is_the_suffix(crash_dir, recovered)
+            issues = verify_graph(recovered._materialized_graph())
             assert not issues, format_issues(issues)
-            # Recovery is an implicit compaction: whatever overlay state
-            # the crash interrupted, the reopened index starts folded
-            # and any sidecar debris has been discarded.
-            assert recovered.snapshot().overlay is None
-            sidecar = os.path.join(crash_dir, DELTA_SIDECAR)
-            assert not os.path.exists(sidecar)
             key = survivors_of(recovered)
             if key not in oracles:
                 rebuilt = build_dominant_graph(
@@ -302,6 +303,45 @@ class TestCrashRecovery:
                     assert got.scores == want.scores
         finally:
             recovered.close(checkpoint=False)
+
+    @staticmethod
+    def _assert_overlay_is_the_suffix(crash_dir, recovered):
+        """Hold the recovered overlay to a model of the WAL suffix."""
+        checkpoint, watermark = _read_current(crash_dir)
+        snap = recovered.snapshot()
+        base = snap.compiled
+        # The base is the checkpoint, compiled straight from its arrays.
+        rebuilt = load_graph_store(os.path.join(crash_dir, checkpoint)).compile()
+        for name in SNAPSHOT_FIELDS:
+            assert np.array_equal(getattr(base, name), getattr(rebuilt, name))
+        in_base = set(base.record_ids[~base.pseudo_mask].tolist())
+        delta, deleted = set(), set()
+        scan = scan_wal(os.path.join(crash_dir, "wal.log"))
+        for seq, op in scan.records:
+            if seq <= watermark:
+                continue
+            for rid in [op["rid"]] if "rid" in op else op["rids"]:
+                if op["op"].startswith("insert"):
+                    delta.add(rid)
+                    if rid in in_base:
+                        deleted.add(rid)
+                elif rid in delta:
+                    delta.discard(rid)
+                else:
+                    deleted.add(rid)
+        assert snap.seq == scan.last_seq
+        sidecar = os.path.join(crash_dir, DELTA_SIDECAR)
+        overlay = snap.overlay
+        if not delta and not deleted:
+            assert overlay is None
+            assert not os.path.exists(sidecar)
+            return
+        assert overlay.delta_ids.tolist() == sorted(delta)
+        assert set(base.record_ids[overlay.deleted_rows].tolist()) == deleted
+        spooled, stamp = load_delta_store(sidecar)
+        assert stamp.applied_seq == snap.seq
+        for name in ("delta_ids", "delta_values", "deleted_rows"):
+            assert np.array_equal(getattr(spooled, name), getattr(overlay, name))
 
     def test_kill_mid_delta_publish_at_every_offset(
         self, tmp_path, partial, dataset
