@@ -10,8 +10,8 @@ that would reopen them, exactly as ``mmap-discipline`` does for
 store-mapped views:
 
 - **No mutation through published overlays.**  Values bound from
-  ``OverlayBuilder.freeze()``, ``load_delta_store()``, or a direct
-  ``DeltaOverlay(...)`` construction must never be written through —
+  ``OverlayBuilder.freeze()`` or a direct ``DeltaOverlay(...)``
+  construction must never be written through —
   no in-place stores, no attribute rebinding, no
   ``setflags(write=True)``.  Writers that need to change the delta build
   a *new* overlay and publish a *new* snapshot.
@@ -24,7 +24,7 @@ store-mapped views:
   burst and turns the "background" fold into a writer stall.
 
 Scope: ``core/``, ``serve/``, and ``store/`` — everywhere overlay
-objects are built, published, spooled, or folded.
+objects are built, published, or folded.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from repro.analysis.engine import Finding, ModuleContext, Rule
 #: Calls whose return value is (or contains) a frozen delta overlay.
 _OVERLAY_SOURCES = {
     "freeze",
-    "load_delta_store",
     "DeltaOverlay",
 }
 

@@ -25,6 +25,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +281,45 @@ def _cross_check_compiled(graph) -> list:
     return problems
 
 
+def _report_pending(wal_path: str, scan, wal_report: dict, say) -> bool:
+    """The WAL suffix past a serving ``CURRENT`` beside the log.
+
+    Those records are every change the checkpoint does not hold yet —
+    recovery serves exactly them as its overlay — so doctor counts them
+    by op kind.  Pending ops are information, not an issue.  Returns
+    True when the ``CURRENT`` pointer itself is unreadable.
+    """
+    from repro.serve.index import CURRENT_NAME, _read_current
+
+    directory = os.path.dirname(os.path.abspath(wal_path))
+    if not os.path.exists(os.path.join(directory, CURRENT_NAME)):
+        return False
+    try:
+        _, applied_seq = _read_current(directory)
+    except IndexCorruptionError as exc:
+        say(f"  wal: CURRENT beside the log is unreadable: {exc}")
+        wal_report["current_error"] = str(exc)
+        return True
+    pending = [(seq, op) for seq, op in scan.records if seq > applied_seq]
+    by_kind = dict(sorted(Counter(str(op.get("op")) for _, op in pending)
+                          .items()))
+    first, last = (pending[0][0], pending[-1][0]) if pending else (None, None)
+    wal_report["pending"] = {
+        "applied_seq": applied_seq,
+        "ops": len(pending),
+        "by_kind": by_kind,
+        "first_seq": first,
+        "last_seq": last,
+    }
+    if pending:
+        kinds = ", ".join(f"{n} {kind}" for kind, n in by_kind.items())
+        say(f"  wal: {len(pending)} op(s) past the checkpoint "
+            f"(applied_seq {applied_seq}), seq {first}-{last}: {kinds}")
+    else:
+        say(f"  wal: no ops past the checkpoint (applied_seq {applied_seq})")
+    return False
+
+
 def cmd_doctor(args: argparse.Namespace) -> int:
     """Diagnose — and optionally repair — a persisted index (`repro doctor`).
 
@@ -288,8 +328,11 @@ def cmd_doctor(args: argparse.Namespace) -> int:
     invariants via ``verify_graph``, plus a compiled-vs-reference engine
     cross-check on probe queries), audits ``/dev/shm`` for segments
     leaked by dead query fabrics, — with ``--wal`` — scans a
-    write-ahead log for torn tails and mid-log corruption, and — with
-    ``--store`` — audits an index-store directory for orphaned
+    write-ahead log for torn tails and mid-log corruption and, when a
+    serving ``CURRENT`` sits beside it, reports the unfolded suffix
+    (the ops past the checkpoint, by kind, with their seq range), and
+    — with ``--store`` — audits an index-store directory
+    (:class:`~repro.store.directory.StoreDirectory`) for orphaned
     generations, a damaged ``CURRENT`` pointer, stamp drift, stray
     temps, and quarantine backlog.  The
     *static* half — source-level contract checks that need no index at
@@ -298,7 +341,8 @@ def cmd_doctor(args: argparse.Namespace) -> int:
 
     Exit status: 0 healthy (or repaired clean), 1 deep-verification
     issues or engine divergence, 2 corruption (unrepaired, unrepairable,
-    or a damaged WAL beyond its recoverable torn tail).
+    or a damaged WAL beyond its recoverable torn tail).  Pending WAL
+    ops never change the exit status.
     """
     from repro.core.verify import format_issues, verify_graph
     from repro.parallel.shm import leaked_segments
@@ -397,35 +441,6 @@ def cmd_doctor(args: argparse.Namespace) -> int:
                 say(f"    - {issue}")
             if audit["orphans"]:
                 say(f"    orphans: {', '.join(audit['orphans'])}")
-        # Delta-overlay sidecar: derived data (the WAL is the durable
-        # truth), so a damaged or stale sidecar is reported but never
-        # fails the diagnosis.
-        sidecar_path = os.path.join(args.store, "delta-current.dgs")
-        if os.path.exists(sidecar_path):
-            from repro.store.deltastore import load_delta_store
-
-            try:
-                overlay, stamp = load_delta_store(sidecar_path)
-            except Exception as exc:  # repro: noqa[typed-errors] -- any unreadable sidecar is the same diagnosis: derived data to be discarded, not a failure
-                say(f"  overlay: sidecar unreadable "
-                    f"({type(exc).__name__}: {exc}); recovery ignores it")
-                report["overlay"] = {"sidecar": sidecar_path,
-                                     "error": str(exc)}
-            else:
-                say(f"  overlay: {overlay.delta_count} delta record(s), "
-                    f"{overlay.deleted_count} deleted row(s) over base "
-                    f"generation {stamp.generation} "
-                    f"(applied_seq {stamp.applied_seq})")
-                report["overlay"] = {
-                    "sidecar": sidecar_path,
-                    "delta_records": overlay.delta_count,
-                    "deleted_rows": overlay.deleted_count,
-                    "base_generation": stamp.generation,
-                    "applied_seq": stamp.applied_seq,
-                }
-        else:
-            say("  overlay: no delta sidecar (all changes folded)")
-            report["overlay"] = {"sidecar": None}
     wal_damaged = False
     if args.wal:
         from repro.serve.wal import scan_wal
@@ -451,6 +466,7 @@ def cmd_doctor(args: argparse.Namespace) -> int:
             else:
                 say(f"  wal: {len(scan.records)} intact record(s), "
                     "clean tail")
+            wal_damaged = _report_pending(args.wal, scan, report["wal"], say)
     if wal_damaged or store_damaged:
         return finish(2)
     return finish(1 if issues or mismatches or store_issues else 0)
@@ -966,7 +982,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output format (json emits one report object)")
     p.add_argument("--wal", default=None,
                    help="also scan this write-ahead log for torn tails "
-                        "and mid-log corruption")
+                        "and mid-log corruption, and report the ops past "
+                        "the checkpoint of a serving CURRENT beside it")
     p.add_argument("--store", default=None,
                    help="also audit this index-store directory: CURRENT "
                         "pointer health, orphaned generations, stray "

@@ -83,17 +83,13 @@ Directory layout::
     <dir>/CURRENT               {"checkpoint": ..., "applied_seq": N}
     <dir>/checkpoint-<seq>.dgs  repro.store checkpoint (graph payload)
     <dir>/wal.log               repro.serve.wal
-    <dir>/delta-current.dgs     overlay sidecar (kind="delta"; derived
-                                data for doctor/tooling, rewritten per
-                                delta publish and at open, removed at
-                                compaction; never read back)
     <dir>/snapshots/            fabric snapshot spool (store files, when
                                 workers > 0; derived data, never durable)
     <dir>/quarantine/           checkpoints that failed verification
 
 Checkpoints are written in the binary store format (:mod:`repro.store`):
 checksummed per section, stamped with the WAL sequence they cover, and
-scrubbabale in place.  Directories created by older builds (``.npz``
+scrubbable in place.  Directories created by older builds (``.npz``
 checkpoints) still open — the loader dispatches on the extension the
 ``CURRENT`` pointer names — and convert to the store format at their
 next checkpoint.
@@ -157,7 +153,6 @@ from repro.resilience.policy import RetryPolicy, TimeoutPolicy
 from repro.serve.admission import AdmissionController
 from repro.serve.cache import CacheKey, ResultCache, cache_key
 from repro.serve.compactor import Compactor
-from repro.store.deltastore import save_delta_store
 from repro.store.graphstore import _load_payload as _load_store_payload
 from repro.store.graphstore import save_graph_store
 from repro.store.mapped import MappedStore, open_store
@@ -167,17 +162,12 @@ from repro.serve.wal import WriteAheadLog, create_wal, scan_wal
 CURRENT_NAME = "CURRENT"
 WAL_NAME = "wal.log"
 _CHECKPOINT_FMT = "checkpoint-{seq:016d}.dgs"
-#: Overlay sidecar name (kind="delta" store file; derived data).
-DELTA_SIDECAR = "delta-current.dgs"
 #: Subdirectory holding the fabric's snapshot spool (derived data).
 SNAPSHOT_SPOOL = "snapshots"
 #: Subdirectory where damaged checkpoints are preserved, never served.
 QUARANTINE_DIR = "quarantine"
 #: How many recent publish latencies back the p50/p99 health columns.
 _PUBLISH_SAMPLE_WINDOW = 512
-#: Sidecar spool throttle: at most one rewrite per this many seconds
-#: (the first delta publish after a fold always spools).
-_SIDECAR_MIN_INTERVAL = 0.1
 #: ``overlay_limit`` when none is given (``open`` reads it before
 #: ``__init__`` does).
 _OVERLAY_LIMIT = 128
@@ -659,8 +649,6 @@ class ServingIndex:
         self._base_generation = 0
         self._overlay_publishes = 0
         self._overlay_fallbacks = 0
-        self._sidecar_enabled = self._overlay_limit > 0
-        self._last_sidecar_spool: float | None = None
         self._compaction_stats = {
             "count": 0,
             "failed": 0,
@@ -709,10 +697,6 @@ class ServingIndex:
             self._snapshot = self._compile_base_locked(epoch=0)
             if self._overlay_limit > 0:
                 self._overlay_builder = OverlayBuilder(self._snapshot.compiled)
-        # Whatever overlay sidecar is on disk — stale, torn, or current —
-        # is never read: it is replaced by one describing this overlay.
-        self._remove_delta_sidecar()
-        self._spool_delta_sidecar(self._snapshot)
         self._cache = ResultCache(cache_size) if cache_size else None
         self._fabric: ParallelQueryExecutor | None = None
         if workers > 0:
@@ -807,12 +791,12 @@ class ServingIndex:
         Tolerates every crash window of the write path: a torn WAL tail
         is dropped (with a :class:`~repro.errors.DegradedResultWarning`
         naming the bytes lost), an orphan checkpoint from an interrupted
-        checkpoint swap is garbage-collected, a stale or torn overlay
-        sidecar is never read (it is rewritten from the recovered
-        overlay), and a WAL that predates the checkpoint is replayed
-        only past the checkpoint's sequence watermark.  Real corruption
-        — mid-log damage, a WAL from the future, a replay that no longer
-        applies — raises typed errors rather than guessing.
+        checkpoint swap is garbage-collected, and a WAL that predates
+        the checkpoint is replayed only past the checkpoint's sequence
+        watermark.  Real corruption — mid-log damage, a WAL from the
+        future, a replay that no longer applies — raises typed errors
+        rather than guessing.  Open writes no file of its own: the WAL
+        suffix is the only record of the changes not yet folded.
         """
         checkpoint, applied_seq = _read_current(directory)
         checkpoint_path = os.path.join(directory, checkpoint)
@@ -1382,7 +1366,6 @@ class ServingIndex:
                     )
                     self._snapshot = snap  # atomic swap: the RCU publish
                     self._overlay_publishes += 1
-                    self._spool_delta_sidecar(snap)
         if snap is None:
             snap = self._publish_base_locked(forced=op is not None)
         if self._cache is not None:
@@ -1415,7 +1398,6 @@ class ServingIndex:
         if self._overlay_limit > 0:
             self._overlay_builder = OverlayBuilder(snap.compiled)
             self._base_generation += 1
-            self._remove_delta_sidecar()
         if self._fabric is not None:
             # Republish so fabric workers serve the new base (a store
             # file in the snapshot spool); per-worker FIFO ordering
@@ -1535,7 +1517,6 @@ class ServingIndex:
             self._snapshot = folded
             self._overlay_builder = OverlayBuilder(folded.compiled)
             self._base_generation += 1
-            self._remove_delta_sidecar()
             if self._fabric is not None:
                 self._fabric.publish(folded.compiled, epoch=folded.epoch)
             elapsed_ms = 1000.0 * (time.monotonic() - started)
@@ -1566,56 +1547,6 @@ class ServingIndex:
     def _timed_compact(self, lock_timeout: float) -> bool:
         """The compactor thread's entry point: a fold clamped to a wait."""
         return self.compact(lock_timeout=lock_timeout)
-
-    def _spool_delta_sidecar(self, snap: ServingSnapshot) -> None:
-        """Best-effort ``kind="delta"`` sidecar for doctor and tooling.
-
-        Derived data: the WAL is the durable truth and recovery never
-        reads the sidecar, so a write failure only disables spooling
-        (with one warning) — it must never poison the writer.
-
-        Throttled: the atomic temp+rename costs a few hundred
-        microseconds, which at a high write rate would dominate the
-        O(changes) publish it rides on.  The first delta after a fold
-        always spools (so a sidecar exists the moment an overlay does);
-        after that, at most one spool per ``_SIDECAR_MIN_INTERVAL``.
-        The ``applied_seq`` stamp keeps a throttled sidecar honest about
-        exactly how fresh it is.
-        """
-        if not self._sidecar_enabled or snap.overlay is None:
-            return
-        now = time.monotonic()
-        if (
-            self._last_sidecar_spool is not None
-            and now - self._last_sidecar_spool < _SIDECAR_MIN_INTERVAL
-        ):
-            return
-        self._last_sidecar_spool = now
-        try:
-            save_delta_store(
-                snap.overlay,
-                os.path.join(self._directory, DELTA_SIDECAR),
-                base_generation=self._base_generation,
-                applied_seq=snap.seq,
-                durable=False,
-            )
-        except Exception as exc:  # repro: noqa[typed-errors] -- sidecar spooling is advisory; any failure degrades to not spooling
-            self._sidecar_enabled = False
-            warnings.warn(
-                DegradedResultWarning(
-                    f"overlay sidecar write failed ({type(exc).__name__}: "
-                    f"{exc}); disabling sidecar spooling"
-                ),
-                stacklevel=2,
-            )
-
-    def _remove_delta_sidecar(self) -> None:
-        """Drop the sidecar after a fold (its overlay no longer exists)."""
-        self._last_sidecar_spool = None  # next delta publish spools
-        try:
-            os.unlink(os.path.join(self._directory, DELTA_SIDECAR))
-        except OSError:
-            pass
 
     # ------------------------------------------------------------------
     # Checkpointing

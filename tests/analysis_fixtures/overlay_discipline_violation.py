@@ -3,7 +3,6 @@
 import numpy as np
 
 from repro.core.overlay import DeltaOverlay
-from repro.store.deltastore import load_delta_store
 
 
 def tamper_with_published(builder, base):
@@ -12,12 +11,6 @@ def tamper_with_published(builder, base):
     overlay.deleted_ids = np.empty(0, dtype=np.intp)  # VIOLATION
     overlay.delta_values.setflags(write=True)  # VIOLATION
     return overlay
-
-
-def tamper_with_loaded(path):
-    loaded = load_delta_store(path)
-    loaded.delta_values[0] = 0.0  # VIOLATION
-    return loaded
 
 
 def tamper_with_constructed(ids, values):

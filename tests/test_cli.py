@@ -1,5 +1,8 @@
 """Unit tests for the command-line interface."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -208,3 +211,74 @@ class TestCommands:
         )
         assert completed.returncode == 0
         assert "Dominant Graph" in completed.stdout
+
+
+class TestDoctorServingDirectory:
+    """``doctor --wal`` reads a serving directory's unfolded changes from
+    the WAL suffix past ``CURRENT``; ``--store`` audits a store directory."""
+
+    @pytest.fixture
+    def served(self, tmp_path):
+        from repro.core.builder import build_dominant_graph
+        from repro.core.io import save_graph
+        from repro.serve import ServingIndex
+
+        graph = build_dominant_graph(uniform(260, 3, seed=4),
+                                     record_ids=range(250))
+        npz = save_graph(graph, str(tmp_path / "index.npz"))
+        directory = str(tmp_path / "serve")
+        index = ServingIndex.create(directory, graph, fsync="never")
+        yield index, npz, os.path.join(directory, "wal.log")
+        index.close(checkpoint=False)
+
+    @staticmethod
+    def _doctor(capsys, *argv):
+        code = main(["doctor", *argv, "--format", "json"])
+        return code, json.loads(capsys.readouterr().out)
+
+    def test_wal_reports_pending_ops_until_checkpoint(self, served, capsys):
+        index, npz, wal = served
+        index.insert(250)
+        index.delete(3)
+        code, report = self._doctor(capsys, "--index", npz, "--wal", wal)
+        assert code == 0
+        assert report["wal"]["pending"] == {
+            "applied_seq": 0,
+            "ops": 2,
+            "by_kind": {"delete": 1, "insert": 1},
+            "first_seq": 1,
+            "last_seq": 2,
+        }
+        assert index.compact() is True
+        index.checkpoint()
+        code, report = self._doctor(capsys, "--index", npz, "--wal", wal)
+        assert code == 0
+        assert report["wal"]["pending"]["applied_seq"] == 2
+        assert report["wal"]["pending"]["ops"] == 0
+
+    def test_torn_tail_is_still_reported(self, served, capsys):
+        index, npz, wal = served
+        index.insert(250)
+        index.delete(3)
+        with open(wal, "rb+") as handle:
+            handle.truncate(os.path.getsize(wal) - 3)
+        code, report = self._doctor(capsys, "--index", npz, "--wal", wal)
+        assert code == 0
+        assert report["wal"]["records"] == 1
+        assert report["wal"]["torn_bytes"] > 0
+        assert report["wal"]["pending"]["by_kind"] == {"insert": 1}
+        assert main(["doctor", "--index", npz, "--wal", wal]) == 0
+        out = capsys.readouterr().out
+        assert "torn tail" in out and "1 op(s) past the checkpoint" in out
+
+    def test_store_audits_a_fabric_spool(self, served, tmp_path, capsys):
+        from repro.store.directory import StoreDirectory
+
+        index, npz, _ = served
+        spool = StoreDirectory(str(tmp_path / "spool"), keep=0)
+        spool.publish_compiled(index.snapshot().compiled, durable=False)
+        code, report = self._doctor(capsys, "--index", npz,
+                                    "--store", spool.root)
+        assert code == 0
+        assert report["store"]["issues"] == []
+        assert report["store"]["generation"] == 1

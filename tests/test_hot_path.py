@@ -10,7 +10,9 @@ same count over one ``build_dominant_graph`` keeps per-record and
 per-parent Python loops out of the build, and over ``insert_record``
 keeps set-to-array round trips out of a write.  Named-call counts over
 a recovery keep the graph build off the read path and make it happen
-once.
+once.  The served import closure — every ``repro`` module that
+``import repro.serve`` loads — is pinned the same way: a module may
+leave it, never join it.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from __future__ import annotations
 import cProfile
 import os
 import pstats
+import subprocess
+import sys
 
 import numpy as np
 
@@ -61,6 +65,28 @@ INSERTS = 50
 #: The dict-of-sets graph made 145, with 4.4 ``numpy.fromiter`` calls and
 #: 3.4 ``rows_for`` gathers per insert turning id sets back into arrays.
 MAX_CALLS_PER_INSERT = 125
+
+#: The 46 ``repro`` modules ``import repro.serve`` loads in a fresh
+#: interpreter: 47 while the store module of the delta overlay's
+#: sidecar file was among them.
+SERVED_MODULES = frozenset(
+    "repro repro.errors repro.cluster repro.cluster.kmeans "
+    "repro.core repro.core.advanced repro.core.builder repro.core.compiled "
+    "repro.core.dataset repro.core.dominance repro.core.functions "
+    "repro.core.graph repro.core.guard repro.core.io repro.core.layers "
+    "repro.core.maintenance repro.core.native repro.core.nway "
+    "repro.core.overlay repro.core.progressive repro.core.pseudo "
+    "repro.core.result repro.core.traveler "
+    "repro.metrics repro.metrics.counters repro.metrics.timing "
+    "repro.parallel repro.parallel.executor repro.parallel.shm "
+    "repro.parallel.worker "
+    "repro.resilience repro.resilience.breaker repro.resilience.deadline "
+    "repro.resilience.policy "
+    "repro.serve repro.serve.admission repro.serve.cache "
+    "repro.serve.compactor repro.serve.index repro.serve.wal "
+    "repro.store repro.store.directory repro.store.format "
+    "repro.store.graphstore repro.store.mapped repro.store.scrub".split()
+)
 
 
 def package_calls(profiler: cProfile.Profile) -> int:
@@ -213,3 +239,24 @@ def test_the_deferred_build_runs_once(tmp_path):
     profiler.disable()
     assert calls_named(profiler, "_construct") == 1
     assert calls_named(profiler, "apply_op") == SUFFIX_OPS
+
+
+def test_served_import_closure_only_shrinks():
+    """``import repro.serve`` in a fresh interpreter loads no ``repro``
+    module outside :data:`SERVED_MODULES`."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    probe = (
+        "import sys, repro.serve; "
+        "print(*[m for m in sys.modules if m.split('.')[0] == 'repro'])"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    ).stdout.split()
+    assert "repro.serve.index" in loaded  # the probe really ran
+    joined = sorted(set(loaded) - SERVED_MODULES)
+    assert not joined, f"modules joined the served import closure: {joined}"

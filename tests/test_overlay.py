@@ -6,8 +6,10 @@ to the snapshot a full recompile would have published.  The hypothesis
 property test here states that over random interleaved
 insert/delete/mark_deleted sequences; the example-based tests pin the
 builder's visibility rules, the frozen-overlay discipline, the kernel's
-``exclude`` contract, and the serving index's publish/compact/sidecar
-behaviour around them.
+``exclude`` contract, and the serving index's publish/compact
+behaviour around them.  The WAL suffix is the only on-disk record of an
+unfolded overlay; the crash matrix that holds recovery to it lives in
+``tests/test_serving_concurrency.py``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from repro.core.maintenance import (
     mark_deleted,
 )
 from repro.core.overlay import (
-    DeltaOverlay,
     alive_record_ids,
     overlay_batch_top_k,
     overlay_top_k,
@@ -41,8 +42,7 @@ from repro.errors import DeadlineExceeded
 from repro.metrics.counters import AccessCounter
 from repro.resilience.deadline import Deadline
 from repro.serve import ServingIndex
-from repro.serve.index import DELTA_SIDECAR, snapshot_scan
-from repro.store.deltastore import load_delta_store, save_delta_store
+from repro.serve.index import snapshot_scan
 from tests.conftest import layer_chunks
 
 
@@ -425,7 +425,7 @@ class TestKernelExclude:
 
 
 # ----------------------------------------------------------------------
-# Serving index: O(changes) publish, compaction, sidecar
+# Serving index: O(changes) publish, compaction
 # ----------------------------------------------------------------------
 @pytest.fixture
 def serving_dir(tmp_path, rng):
@@ -549,20 +549,6 @@ class TestServingOverlay:
         finally:
             index.close(checkpoint=False)
 
-    def test_delta_sidecar_tracks_publish_and_compaction(self, serving_dir):
-        directory, graph, _dataset = serving_dir
-        with ServingIndex.create(directory, graph, fsync="never") as index:
-            sidecar = os.path.join(directory, DELTA_SIDECAR)
-            assert not os.path.exists(sidecar)
-            index.insert(34)
-            assert os.path.exists(sidecar)
-            overlay, stamp = load_delta_store(sidecar)
-            assert overlay.delta_ids.tolist() == [34]
-            assert stamp.kind == "delta"
-            assert stamp.applied_seq == 1
-            index.compact()
-            assert not os.path.exists(sidecar)
-
     def test_scan_tier_matches_overlay_merge(self, serving_dir):
         directory, graph, _dataset = serving_dir
         with ServingIndex.create(directory, graph, fsync="never") as index:
@@ -578,44 +564,39 @@ class TestServingOverlay:
             assert scanned.scores == merged.scores
 
 
-# ----------------------------------------------------------------------
-# Sidecar store round-trip
-# ----------------------------------------------------------------------
-def test_delta_store_round_trip(tmp_path):
-    overlay = DeltaOverlay(
-        delta_ids=np.array([3, 9], dtype=np.int64),
-        delta_values=np.array([[1.0, 2.0], [3.0, 4.0]]),
-        deleted_rows=np.array([1], dtype=np.int64),
-    )
-    path = save_delta_store(
-        overlay,
-        str(tmp_path / "delta-current.dgs"),
-        base_generation=4,
-        applied_seq=17,
-    )
-    loaded, stamp = load_delta_store(path)
-    assert loaded.delta_ids.tolist() == [3, 9]
-    assert loaded.delta_values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
-    assert loaded.deleted_rows.tolist() == [1]
-    assert (stamp.kind, stamp.generation, stamp.applied_seq) == (
-        "delta", 4, 17,
-    )
+def test_same_ops_at_any_pacing_leave_identical_directories(tmp_path, rng):
+    """The serving directory is a function of the op sequence alone:
+    replaying one script back to back and with a pause before its last
+    op leaves the same files with the same bytes."""
+    import time
 
+    values = rng.uniform(0.0, 100.0, (40, 3)).tolist()
 
-def test_torn_delta_sidecar_raises_typed_corruption(tmp_path):
-    from repro.errors import StoreCorruptionError
+    def run(name: str, pause: float) -> dict:
+        directory = str(tmp_path / name)
+        graph = build_dominant_graph(Dataset(values), record_ids=range(30))
+        with ServingIndex.create(directory, graph, fsync="never") as index:
+            script = (
+                lambda: index.insert(30),
+                lambda: index.delete(3),
+                lambda: index.insert_many([31, 32]),
+                lambda: index.mark_deleted(7),
+                index.compact,
+                lambda: index.insert(33),
+                index.checkpoint,
+                lambda: index.delete(31),
+            )
+            for step in script[:-1]:
+                step()
+            time.sleep(pause)
+            script[-1]()
+        files = {}
+        for entry in sorted(os.listdir(directory)):
+            with open(os.path.join(directory, entry), "rb") as handle:
+                files[entry] = handle.read()
+        return files
 
-    overlay = DeltaOverlay(
-        delta_ids=np.array([1], dtype=np.int64),
-        delta_values=np.array([[5.0, 6.0]]),
-        deleted_rows=np.array([], dtype=np.int64),
-    )
-    path = save_delta_store(overlay, str(tmp_path / "torn.dgs"))
-    size = os.path.getsize(path)
-    with open(path, "rb+") as handle:
-        handle.truncate(size // 2)
-    with pytest.raises(StoreCorruptionError):
-        load_delta_store(path)
+    assert run("fast", 0.0) == run("paced", 0.12)
 
 
 def test_overlay_application_failure_degrades_to_recompile(

@@ -25,9 +25,8 @@ from repro.core.functions import LinearFunction
 from repro.core.verify import format_issues, verify_graph
 from repro.errors import ServiceUnavailable
 from repro.serve import ServingIndex, scan_wal
-from repro.serve.index import DELTA_SIDECAR, _read_current
+from repro.serve.index import CURRENT_NAME, WAL_NAME, _read_current
 from repro.store import load_graph_store
-from repro.store.deltastore import load_delta_store
 from repro.testing import Rendezvous, crash_offsets, crashed_copy, run_threads
 
 FN = LinearFunction([0.5, 0.3, 0.2])
@@ -46,6 +45,19 @@ def partial(tmp_path, dataset):
     )
     yield index
     index.close(checkpoint=False)
+
+
+def directory_entries(directory: str) -> dict:
+    """Every entry of ``directory`` by name, with a file's bytes."""
+    entries = {}
+    for name in os.listdir(directory):
+        path = os.path.join(directory, name)
+        if os.path.isfile(path):
+            with open(path, "rb") as handle:
+                entries[name] = handle.read()
+        else:
+            entries[name] = None
+    return entries
 
 
 def survivors_of(index: ServingIndex) -> frozenset:
@@ -275,15 +287,15 @@ class TestCrashRecovery:
 
     def _assert_recovers_exactly(self, crash_dir, dataset, oracles):
         """Recover ``crash_dir`` and hold it bit-identical to a rebuild."""
+        before = directory_entries(crash_dir)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # torn tails are expected
             recovered = ServingIndex.open(crash_dir, fsync="never")
         try:
             # Whatever overlay state the crash interrupted, the reopened
             # index serves the checkpoint plus exactly the WAL suffix
-            # past CURRENT's watermark, and the sidecar debris was never
-            # read: it is gone, or rewritten from that overlay.
-            self._assert_overlay_is_the_suffix(crash_dir, recovered)
+            # past CURRENT's watermark.
+            self._assert_overlay_is_the_suffix(crash_dir, recovered, before)
             issues = verify_graph(recovered._materialized_graph())
             assert not issues, format_issues(issues)
             key = survivors_of(recovered)
@@ -305,9 +317,20 @@ class TestCrashRecovery:
             recovered.close(checkpoint=False)
 
     @staticmethod
-    def _assert_overlay_is_the_suffix(crash_dir, recovered):
-        """Hold the recovered overlay to a model of the WAL suffix."""
+    def _assert_overlay_is_the_suffix(crash_dir, recovered, before):
+        """Hold the recovered overlay to a model of the WAL suffix.
+
+        The suffix is the only on-disk record of unfolded changes, so
+        open writes nothing but ``CURRENT``, the checkpoint and the WAL:
+        any other file it created or rewrote would be a second record.
+        """
         checkpoint, watermark = _read_current(crash_dir)
+        written = {
+            name
+            for name, data in directory_entries(crash_dir).items()
+            if before.get(name, ...) != data
+        }
+        assert written <= {CURRENT_NAME, checkpoint, WAL_NAME}, written
         snap = recovered.snapshot()
         base = snap.compiled
         # The base is the checkpoint, compiled straight from its arrays.
@@ -330,77 +353,52 @@ class TestCrashRecovery:
                 else:
                     deleted.add(rid)
         assert snap.seq == scan.last_seq
-        sidecar = os.path.join(crash_dir, DELTA_SIDECAR)
         overlay = snap.overlay
         if not delta and not deleted:
             assert overlay is None
-            assert not os.path.exists(sidecar)
             return
         assert overlay.delta_ids.tolist() == sorted(delta)
         assert set(base.record_ids[overlay.deleted_rows].tolist()) == deleted
-        spooled, stamp = load_delta_store(sidecar)
-        assert stamp.applied_seq == snap.seq
-        for name in ("delta_ids", "delta_values", "deleted_rows"):
-            assert np.array_equal(getattr(spooled, name), getattr(overlay, name))
 
     def test_kill_mid_delta_publish_at_every_offset(
         self, tmp_path, partial, dataset
     ):
         """Crash with an unfolded overlay live: at every WAL truncation
-        point the on-disk state is the WAL plus a delta sidecar that is
-        stale relative to the cut (spooled for a later or earlier
-        publish, or torn by the crash itself).  Recovery must ignore the
-        sidecar entirely and come back bit-identical to a rebuild of the
-        surviving operations."""
+        point the WAL suffix past ``CURRENT``'s watermark is the only
+        record of the overlay.  Recovery must serve exactly that suffix
+        and come back bit-identical to a rebuild of the surviving
+        operations."""
         index = partial
         index.insert(40)
         index.delete(8)
         index.insert_many([41, 42])
         index.mark_deleted(2)
         index._wal.sync()
-        # Killed here: the overlay holds every op, the sidecar describes
-        # the final delta publish, nothing was compacted.
+        # Killed here: the overlay holds every op, nothing was compacted.
         assert index.snapshot().overlay is not None
-        sidecar = os.path.join(index._directory, DELTA_SIDECAR)
-        assert os.path.exists(sidecar)
 
-        wal_path = os.path.join(index._directory, "wal.log")
-        offsets = crash_offsets(wal_path)
+        wal_path = os.path.join(index._directory, WAL_NAME)
         oracles: dict = {}
-        sidecar_size = os.path.getsize(sidecar)
-        for i, cut in enumerate(offsets):
+        for cut in crash_offsets(wal_path):
             crash_dir = crashed_copy(
                 index._directory, str(tmp_path / f"delta-crash-{cut}"), cut
             )
-            # Vary the sidecar's own crash shape across cuts: intact,
-            # torn at a rotating offset, or already unlinked.
-            shape = i % 3
-            crashed_sidecar = os.path.join(crash_dir, DELTA_SIDECAR)
-            if shape == 1:
-                with open(crashed_sidecar, "rb+") as handle:
-                    handle.truncate(cut % sidecar_size)
-            elif shape == 2:
-                os.unlink(crashed_sidecar)
             self._assert_recovers_exactly(crash_dir, dataset, oracles)
 
     def test_kill_mid_compaction_recovers_exactly(
         self, tmp_path, partial, dataset
     ):
-        """Crash between a compaction's fold and its sidecar unlink: the
-        directory carries a sidecar describing an overlay the fold
-        already absorbed.  Replay must reproduce the folded state and
-        discard the stale sidecar."""
+        """Crash after a compaction folded the overlay in memory but
+        before any checkpoint: the folded ops are still only in the WAL
+        suffix.  Replay must reproduce the folded state at every cut."""
         index = partial
         index.insert(45)
         index.delete(9)
         index._wal.sync()
-        sidecar = os.path.join(index._directory, DELTA_SIDECAR)
-        stale_sidecar_bytes = open(sidecar, "rb").read()
-        assert index.compact() is True  # the fold ran; sidecar unlinked
-        assert not os.path.exists(sidecar)
+        assert index.compact() is True  # the fold ran; no checkpoint
         index._wal.sync()
 
-        wal_path = os.path.join(index._directory, "wal.log")
+        wal_path = os.path.join(index._directory, WAL_NAME)
         oracles: dict = {}
         for cut in crash_offsets(wal_path):
             crash_dir = crashed_copy(
@@ -408,8 +406,30 @@ class TestCrashRecovery:
                 str(tmp_path / f"compact-crash-{cut}"),
                 cut,
             )
-            # Resurrect the pre-fold sidecar: the state a kill between
-            # the snapshot swap and the unlink leaves behind.
-            with open(os.path.join(crash_dir, DELTA_SIDECAR), "wb") as f:
-                f.write(stale_sidecar_bytes)
             self._assert_recovers_exactly(crash_dir, dataset, oracles)
+
+    def test_leftover_delta_sidecar_is_inert(
+        self, tmp_path, partial, dataset
+    ):
+        """A directory from an older build may hold a torn
+        ``delta-current.dgs`` overlay sidecar.  Nothing reads it or
+        removes it: recovery is bit-identical to a rebuild."""
+        index = partial
+        index.insert(46)
+        index.delete(10)
+        index._wal.sync()
+        wal_path = os.path.join(index._directory, WAL_NAME)
+        crash_dir = crashed_copy(
+            index._directory,
+            str(tmp_path / "old-directory"),
+            os.path.getsize(wal_path),
+        )
+        checkpoint, _ = _read_current(crash_dir)
+        with open(os.path.join(crash_dir, checkpoint), "rb") as handle:
+            torn = handle.read()[:100]  # the head of a store file
+        planted = os.path.join(crash_dir, "delta-current.dgs")
+        with open(planted, "wb") as handle:
+            handle.write(torn)
+        self._assert_recovers_exactly(crash_dir, dataset, {})
+        with open(planted, "rb") as handle:
+            assert handle.read() == torn
