@@ -25,7 +25,7 @@ from repro.analysis.engine import Finding, ModuleContext, Rule
 #: ``ServingIndex.query`` are deliberately absent: they *own* budget
 #: enforcement and must construct the BudgetedAccessCounter themselves —
 #: accepting a caller counter there would bypass the budget contract.
-ENTRY_POINTS = {"top_k", "top_k_progressive", "iter_ranked", "snapshot_scan"}
+ENTRY_POINTS = {"top_k", "top_k_progressive", "iter_ranked", "snapshot_scan", "exact_top_k"}
 
 
 def _param_names(args: ast.arguments) -> set[str]:

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.core.dataset import Dataset
 from repro.core.functions import ScoringFunction
-from repro.core.result import TopKResult
+from repro.core.result import TopKResult, exact_top_k
 from repro.metrics.counters import AccessCounter
 
 
@@ -23,14 +23,7 @@ def naive_top_k(dataset: Dataset, function: ScoringFunction, k: int) -> TopKResu
     >>> naive_top_k(ds, LinearFunction([1.0, 1.0]), 2).ids
     (2, 1)
     """
-    if k <= 0:
-        raise ValueError("k must be positive")
-    stats = AccessCounter()
-    scores = function.score_many(dataset.values)
-    stats.computed = len(dataset)
-    order = np.lexsort((np.arange(len(dataset)), -scores))[:k]
-    pairs = [(float(scores[i]), int(i)) for i in order]
-    return TopKResult.from_pairs(pairs, stats, algorithm="naive-scan")
+    return exact_top_k(dataset.values, np.arange(len(dataset)), function, k)
 
 
 def naive_top_k_subset(
@@ -50,20 +43,7 @@ def naive_top_k_subset(
     answers.  Accesses are charged *before* scoring, so a budget-enforcing
     ``stats`` counter can refuse the scan up front.
     """
-    if k <= 0:
-        raise ValueError("k must be positive")
-    stats = stats if stats is not None else AccessCounter()
-    ids = np.fromiter((int(rid) for rid in record_ids), dtype=np.intp)
-    if ids.size == 0:
-        return TopKResult.from_pairs([], stats, algorithm="naive-scan")
-    stats.count_computed_batch(ids)
-    block = dataset.values[ids]
-    scores = function.score_many(block)
-    if where is not None:
-        mask = np.fromiter(
-            (bool(where(row)) for row in block), dtype=bool, count=ids.size
-        )
-        ids, scores = ids[mask], scores[mask]
-    order = np.lexsort((ids, -scores))[:k]
-    pairs = [(float(scores[i]), int(ids[i])) for i in order]
-    return TopKResult.from_pairs(pairs, stats, algorithm="naive-scan")
+    ids = np.array(record_ids, dtype=np.intp)
+    return exact_top_k(
+        dataset.values.take(ids, axis=0), ids, function, k, where=where, stats=stats
+    )

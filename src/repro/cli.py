@@ -334,7 +334,8 @@ def cmd_doctor(args: argparse.Namespace) -> int:
     — with ``--store`` — audits an index-store directory
     (:class:`~repro.store.directory.StoreDirectory`) for orphaned
     generations, a damaged ``CURRENT`` pointer, stamp drift, stray
-    temps, and quarantine backlog.  The
+    temps, and quarantine backlog; a serving directory's ``CURRENT`` is
+    recognised there and pointed at ``--wal`` instead.  The
     *static* half — source-level contract checks that need no index at
     all — is ``repro lint``.  ``--format json`` emits the whole report
     as one machine-readable object for dashboards and CI.
@@ -414,10 +415,24 @@ def cmd_doctor(args: argparse.Namespace) -> int:
         say("  shm: no repro-dg segments in /dev/shm")
     store_damaged = False
     store_issues: list = []
-    if getattr(args, "store", None):
+    store = getattr(args, "store", None)
+    serving = None
+    if store:
+        from repro.serve.index import WAL_NAME, _read_current
+
+        try:
+            serving = _read_current(store)
+        except (FileNotFoundError, IndexCorruptionError):
+            pass  # no CURRENT, or a store pointer: the audit reads it
+    if serving is not None:
+        say(f"  store: {store} is a serving directory (checkpoint "
+            f"{serving[0]}, applied_seq {serving[1]}), not a store "
+            f"directory; use --wal {os.path.join(store, WAL_NAME)}")
+        report["store"] = {"root": store, "serving": True, "issues": []}
+    elif store:
         from repro.store.directory import StoreDirectory
 
-        audit = StoreDirectory(args.store).audit()
+        audit = StoreDirectory(store).audit()
         report["store"] = audit
         store_issues = list(audit["issues"])
         # Damage (an unopenable live generation) is exit-2 territory;

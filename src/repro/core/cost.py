@@ -36,6 +36,7 @@ import numpy as np
 from repro.core.dataset import Dataset
 from repro.core.dominance import maximal_mask
 from repro.core.functions import ScoringFunction
+from repro.core.result import exact_top_k
 from repro.skyline.cardinality import expected_skyline_uniform
 
 
@@ -69,9 +70,9 @@ def top_k_bruteforce(dataset: Dataset, function: ScoringFunction, k: int) -> lis
     The ground truth every algorithm's tests compare against (and the
     ``S2`` ingredient of the cost model).
     """
-    scores = function.score_many(dataset.values)
-    order = np.lexsort((np.arange(len(dataset)), -scores))
-    return [int(i) for i in order[:k]]
+    if k <= 0:
+        return []
+    return list(exact_top_k(dataset.values, np.arange(len(dataset)), function, k).ids)
 
 
 def search_space(dataset: Dataset, function: ScoringFunction, k: int) -> SearchSpace:

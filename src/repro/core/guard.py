@@ -167,12 +167,7 @@ def _run_tier(
         from repro.baselines.naive import naive_top_k_subset
 
         return naive_top_k_subset(
-            graph.dataset,
-            sorted(graph.real_ids()),
-            function,
-            k,
-            where=where,
-            stats=stats,
+            graph.dataset, graph.real_ids(), function, k, where=where, stats=stats
         )
     raise ValueError(f"unknown serving tier {tier!r}")
 

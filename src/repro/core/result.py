@@ -3,7 +3,9 @@
 Bundles the answer (record ids in rank order, with scores) together with
 the :class:`~repro.metrics.counters.AccessCounter` that measured the work,
 so the benchmark harness can read the paper's metrics off any algorithm
-uniformly.
+uniformly.  :func:`exact_top_k` is the one full scan behind every scan
+tier; it lives beside the ``(-score, id)`` contract it implements and,
+deliberately, apart from the compiled kernel it backs up.
 """
 
 from __future__ import annotations
@@ -11,6 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
+import numpy as np
+
+from repro.core.functions import ScoringFunction, WherePredicate
 from repro.metrics.counters import AccessCounter
 
 
@@ -106,3 +111,46 @@ class TopKResult:
         )
         suffix = ", ..." if len(self) > 5 else ""
         return f"{name}(k={len(self)}, [{preview}{suffix}], computed={self.stats.computed})"
+
+
+def exact_top_k(
+    values: np.ndarray,
+    ids: np.ndarray,
+    function: ScoringFunction,
+    k: int,
+    where: WherePredicate | None = None,
+    stats: AccessCounter | None = None,
+    *,
+    algorithm: str = "naive-scan",
+) -> TopKResult:
+    """Exact top-k of the rows ``values`` named by ``ids``, by full scan.
+
+    Every id is charged to ``stats`` before anything is scored, so a
+    budget-enforcing counter refuses an over-budget scan up front.  Rows
+    failing ``where`` are then dropped, the rest scored in one
+    ``score_many`` call, cut to the k-th score with every tie on it kept,
+    and only those rows ranked by ``(-score, id)``.
+    """
+    if k <= 0:
+        raise ValueError("k must be positive")
+    stats = stats if stats is not None else AccessCounter()
+    stats.count_computed_batch(ids)
+    if where is not None:
+        keep = np.fromiter(
+            (bool(where(row)) for row in values), dtype=bool, count=len(ids)
+        )
+        values, ids = values.compress(keep, axis=0), ids.compress(keep)
+    scores = function.score_many(values)
+    available = int(scores.shape[0])
+    take = min(k, available)
+    if available > take:
+        kth_value = np.partition(scores, available - take)[available - take]
+        keep = scores >= kth_value
+        ids, scores = ids[keep], scores[keep]
+    order = np.lexsort((ids, -scores))[:take]
+    return TopKResult(
+        ids=tuple(ids[order].tolist()),
+        scores=tuple(scores[order].tolist()),
+        stats=stats,
+        algorithm=algorithm,
+    )

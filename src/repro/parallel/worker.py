@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.core.compiled import batch_top_k
 from repro.core.functions import ScoringFunction, WherePredicate
-from repro.core.result import TopKResult
+from repro.core.result import TopKResult, exact_top_k
 from repro.errors import DeadlineExceeded
 from repro.metrics.counters import AccessCounter
 from repro.parallel.shm import AttachedSnapshot, SnapshotHandle, attach_snapshot
@@ -136,46 +136,26 @@ def shard_scan(
     snapshot's answerable set, so merging the per-shard pairs yields the
     global top-k (see module docstring).
     """
-    if k <= 0:
-        raise ValueError("k must be positive")
     if not 0 <= shard_index < shard_count:
         raise ValueError(
             f"shard_index {shard_index} out of range for "
             f"shard_count {shard_count}"
         )
     compiled = snapshot.compiled
-    values = compiled.values
-    n = int(values.shape[0])
     stats = AccessCounter()
-    rows = np.arange(shard_index, n, shard_count, dtype=np.int64)
-    if rows.size == 0:
-        return (), stats
-    pseudo_rows = compiled.pseudo_mask[rows]
+    rows = np.arange(shard_index, compiled.num_records, shard_count)
+    pseudo = compiled.pseudo_mask[rows]
+    # Every row of the shard is charged, so the merged tally counts each
+    # indexed record once; pseudo rows are never ranked.
     stats.count_computed_batch(
-        compiled.record_ids[rows], pseudo=int(pseudo_rows.sum())
+        compiled.record_ids[rows[pseudo]], pseudo=int(pseudo.sum())
     )
-    answerable = ~pseudo_rows
-    if where is not None:
-        for offset in np.flatnonzero(answerable).tolist():
-            answerable[offset] = bool(where(values[int(rows[offset])]))
-    rows = rows[answerable]
-    if rows.size == 0:
-        return (), stats
-    scores = function.score_many(values[rows])
-    ids = compiled.record_ids[rows]
-    take = min(k, int(rows.size))
-    if int(rows.size) > take:
-        kth_value = np.partition(scores, int(rows.size) - take)[
-            int(rows.size) - take
-        ]
-        keep = np.flatnonzero(scores >= kth_value)
-        scores = scores[keep]
-        ids = ids[keep]
-    order = np.lexsort((ids, -scores))[:take]
-    pairs = tuple(
-        (float(scores[i]), int(ids[i])) for i in order.tolist()
+    rows = rows[~pseudo]
+    result = exact_top_k(
+        compiled.values.take(rows, axis=0), compiled.record_ids[rows], function, k,
+        where=where, stats=stats,
     )
-    return pairs, stats
+    return tuple(zip(result.scores, result.ids)), stats
 
 
 def execute_task(snapshot: AttachedSnapshot, task: QueryTask) -> tuple:

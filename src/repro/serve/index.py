@@ -135,7 +135,7 @@ from repro.core.overlay import (
     overlay_batch_top_k,
     overlay_top_k,
 )
-from repro.core.result import TopKResult
+from repro.core.result import TopKResult, exact_top_k
 from repro.metrics.counters import AccessCounter
 from repro.errors import (
     DeadlineExceeded,
@@ -471,47 +471,25 @@ def snapshot_scan(
     With ``overlay`` given the scan covers the same record set the
     overlay query path serves: base rows minus the overlay's deletions,
     plus the overlay's fresh records — still one exhaustive
-    ``score_many`` pass, still the oracle for that snapshot.
+    :func:`~repro.core.result.exact_top_k` scan, still the oracle for
+    that snapshot.
     """
-    if k <= 0:
-        raise ValueError("k must be positive")
-    stats = stats if stats is not None else _fresh_stats()
     answerable = ~compiled.pseudo_mask
     if overlay is not None:
         deleted = overlay.deleted_mask(compiled.num_records)
         if deleted is not None:
             answerable = answerable & ~deleted
-    ids = compiled.record_ids[answerable]
-    values = compiled.values[answerable]
+    ids = compiled.record_ids.compress(answerable)
+    values = compiled.values.compress(answerable, axis=0)
     if overlay is not None and overlay.delta_count:
         ids = np.concatenate([ids, overlay.delta_ids])
         # A fresh owning copy either way: scoring functions and ``where``
         # are entitled to writable inputs, and the overlay stays frozen.
         values = np.concatenate([values, overlay.delta_values])
-    if ids.size == 0:
-        return TopKResult((), (), stats, algorithm="snapshot-scan")
-    scores = function.score_many(values)
-    stats.count_computed_batch(ids)
-    if where is not None:
-        keep = np.fromiter(
-            (bool(where(values[i])) for i in range(values.shape[0])),
-            dtype=bool,
-            count=values.shape[0],
-        )
-        ids, scores = ids[keep], scores[keep]
-    order = np.lexsort((ids, -scores))[:k]
-    return TopKResult(
-        ids=tuple(int(i) for i in ids[order]),
-        scores=tuple(float(s) for s in scores[order]),
-        stats=stats,
+    return exact_top_k(
+        values, ids, function, k, where=where, stats=stats,
         algorithm="snapshot-scan",
     )
-
-
-def _fresh_stats():
-    from repro.metrics.counters import AccessCounter
-
-    return AccessCounter()
 
 
 class _BreakerSkip(Exception):

@@ -282,3 +282,18 @@ class TestDoctorServingDirectory:
         assert code == 0
         assert report["store"]["issues"] == []
         assert report["store"]["generation"] == 1
+
+    def test_store_on_a_serving_directory_points_at_the_wal(
+        self, served, capsys
+    ):
+        index, npz, wal = served
+        index.insert(250)
+        directory = os.path.dirname(wal)
+        code, report = self._doctor(capsys, "--index", npz,
+                                    "--store", directory)
+        assert code == 0
+        assert report["store"]["issues"] == []
+        assert report["store"]["serving"] is True
+        assert main(["doctor", "--index", npz, "--store", directory]) == 0
+        out = capsys.readouterr().out
+        assert "serving directory" in out and f"--wal {wal}" in out
