@@ -2,9 +2,10 @@
 
 Two contracts ride on the counter: the paper's accessed-records cost
 metric (Definition 3.1 — the quantity every experiment reports), and the
-budget enforcement of PR 2, where
+budget enforcement of the degradation ladder, where
 :class:`~repro.core.guard.BudgetedAccessCounter` aborts a runaway query
-from *inside* ``count_computed``/``count_computed_batch``.  A traversal
+— in the compiled kernel or in the snapshot scan ``core/guard.py``
+holds — from *inside* ``count_computed``/``count_computed_batch``.  A traversal
 that scores records without charging the counter is invisible to both:
 its cost is under-reported and a record budget cannot stop it.
 

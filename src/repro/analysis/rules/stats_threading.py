@@ -1,8 +1,10 @@
 """Rule: public query entry points accept and forward ``stats=``.
 
-The robustness layer (PR 2) enforces record and wall-clock budgets by
-handing every engine a :class:`~repro.core.guard.BudgetedAccessCounter`
-through the ``stats=`` parameter — no hooks inside traversal kernels.
+The degradation ladder (:func:`~repro.core.guard.ladder_top_k`)
+enforces record and wall-clock budgets by handing both of its rungs — the
+compiled kernel and :func:`~repro.core.guard.snapshot_scan` — a
+:class:`~repro.core.guard.BudgetedAccessCounter` through the ``stats=``
+parameter; no hooks inside traversal kernels.
 That only works if *every* public query entry point accepts a caller
 counter and actually threads it into the traversal.  An entry point that
 silently constructs its own counter is invisible to budgets (and to the
@@ -21,10 +23,11 @@ from typing import Iterator
 
 from repro.analysis.engine import Finding, ModuleContext, Rule
 
-#: Query entry points that must thread ``stats=``.  ``run_query`` and
-#: ``ServingIndex.query`` are deliberately absent: they *own* budget
-#: enforcement and must construct the BudgetedAccessCounter themselves —
-#: accepting a caller counter there would bypass the budget contract.
+#: Query entry points that must thread ``stats=``.  ``ladder_top_k`` and
+#: its callers (``run_query``, ``ServingIndex.query``) are deliberately
+#: absent: the ladder *owns* budget enforcement and constructs the
+#: BudgetedAccessCounter itself — accepting a caller counter there would
+#: bypass the budget contract.
 ENTRY_POINTS = {"top_k", "top_k_progressive", "iter_ranked", "snapshot_scan", "exact_top_k"}
 
 

@@ -7,10 +7,11 @@ structured failure mode.  Two code patterns erode that contract:
 - **broad handlers** — ``except:`` / ``except Exception`` /
   ``except BaseException`` swallow typed errors (including
   ``QueryBudgetExceeded``, which must *never* be silently absorbed)
-  together with genuine bugs.  The few intentional sites (the guard's
-  degrade-never-crash path, best-effort salvage in ``io.py``, writer
-  poisoning in the serving index, the fault-injection harness) carry a
-  ``# repro: noqa[typed-errors] -- reason`` each.
+  together with genuine bugs.  The few intentional sites (the
+  degradation ladder's one kernel-fault handler in ``core/guard.py`` and
+  the fabric rung in front of it, best-effort salvage in ``io.py``,
+  writer poisoning in the serving index, the fault-injection harness)
+  carry a ``# repro: noqa[typed-errors] -- reason`` each.
 - **builtin raises** — ``raise RuntimeError(...)`` in ``core/`` or
   ``serve/`` where :mod:`repro.errors` has a type (invariant breaches
   should raise :class:`~repro.errors.InvariantViolation`).  ``ValueError``

@@ -957,12 +957,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fan out across N worker processes sharing the "
                         "snapshot over shared memory (0 = in-process)")
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--engine",
-                   choices=["auto", "reference", "compiled", "naive"],
-                   default="reference",
-                   help="first serving tier to try: the reference Traveler, "
-                        "the compiled flat-array kernel (identical answers, "
-                        "faster), a plain scan, or auto (= compiled)")
+    p.add_argument("--engine", choices=["auto", "compiled", "naive"],
+                   default="auto",
+                   help="first serving tier to try: the compiled layer-sweep "
+                        "kernel (auto = compiled) or the exact snapshot scan "
+                        "it degrades to")
     p.add_argument("--budget-ms", type=float, default=None,
                    help="wall-clock budget in milliseconds; exceeding it "
                         "aborts the query (exit status 3)")

@@ -1,42 +1,35 @@
-"""Guarded query execution: budgets, deadlines, graceful degradation.
-
-A serving deployment cannot let one query monopolize the process, and it
-cannot return a 500 because one engine tier has a bug.  This module wraps
-query execution in both protections:
+"""Guarded query execution: budgets, deadlines, one degradation ladder.
 
 **Budgets.**  :class:`BudgetedAccessCounter` subclasses the
 :class:`~repro.metrics.counters.AccessCounter` every engine already
 charges its scored records to (the paper's "accessed records" metric,
-Definition 3.1), and raises
-:class:`~repro.errors.QueryBudgetExceeded` the moment the tally passes an
-accessed-record budget or a wall-clock deadline.  Because the check rides
-the existing accounting, no traversal kernel needed a hook — the budget
-is enforced mid-traversal in every tier, including the batched compiled
-kernel.
+Definition 3.1), and raises :class:`~repro.errors.QueryBudgetExceeded`
+the moment the tally passes a record budget or a wall-clock deadline —
+mid-traversal, with no hook in any kernel.
 
-**Degradation.**  :func:`run_query` answers through a chain of serving
-tiers, each strictly simpler (and slower) than the one before::
+**Degradation.**  :func:`ladder_top_k` answers over one immutable
+snapshot — a :class:`~repro.core.compiled.CompiledDG` plus, while writes
+are parked, its :class:`~repro.core.overlay.DeltaOverlay` — on two
+rungs::
 
-    compiled   CompiledAdvancedTraveler over graph.compile()
-       |       (recompiled automatically when the snapshot is stale)
+    compiled   the layer-sweep kernel (batch_top_k / overlay_batch_top_k),
+       |       behind the "tier:compiled" breaker and a RetryPolicy
        v
-    reference  AdvancedTraveler over the mutable DominantGraph
-       |       (no snapshot, no flat arrays — just the paper's Algorithm 2)
-       v
-    naive      full scan of the indexed real records
-               (no graph structure consulted at all)
+    naive      snapshot_scan: one exact full scan of the same snapshot
 
-A tier that raises anything other than :class:`QueryBudgetExceeded` is
-abandoned; a :class:`~repro.errors.DegradedResultWarning` records the
-failure and the next tier answers.  Budget violations are *not* degraded
-around — every lower tier does at least as much record access, so the
-only honest response is the typed error.  The tier that actually produced
-the answer is recorded on :attr:`repro.core.result.TopKResult.tier`.
+One exception policy covers both.  A budget or deadline trip propagates
+with ``.tier`` set and charges no breaker: the scan reads every record,
+so degrading would only spend more.  An open breaker skips to the scan.
+Any other exception charges the breaker once per call and degrades to
+the scan under a :class:`~repro.errors.DegradedResultWarning` (or
+propagates, with ``fallback=False``).  The rung that answered is
+:attr:`repro.core.result.TopKResult.tier`.  The scan is the oracle the
+test suite checks every engine against, so degrading costs latency,
+never correctness.
 
-All three tiers return identical answers by construction (the compiled
-engine is bit-identical to the reference, and the naive scan is the
-correctness oracle the whole test suite compares against), so degradation
-trades latency, never correctness.
+Callers: :meth:`repro.serve.index.ServingIndex.query`, the in-process
+half of its ``query_batch`` and :func:`run_query`, which compiles a
+mutable graph first.
 """
 
 from __future__ import annotations
@@ -45,23 +38,24 @@ import time
 import warnings
 from typing import Sequence
 
-from repro.core.advanced import AdvancedTraveler
-from repro.core.compiled import CompiledAdvancedTraveler, CompiledDG
+import numpy as np
+
+from repro.core.compiled import CompiledDG, batch_top_k
 from repro.core.functions import ScoringFunction, WherePredicate
 from repro.core.graph import DominantGraph
-from repro.core.result import TopKResult
-from repro.errors import (
-    DeadlineExceeded,
-    DegradedResultWarning,
-    InvariantViolation,
-    QueryBudgetExceeded,
-)
+from repro.core.overlay import DeltaOverlay, overlay_batch_top_k
+from repro.core.result import TopKResult, exact_top_k
+from repro.errors import DegradedResultWarning, QueryBudgetExceeded
 from repro.metrics.counters import AccessCounter
-from repro.resilience.breaker import BreakerBoard
+from repro.resilience.breaker import BreakerBoard, CircuitBreaker
 from repro.resilience.deadline import Deadline
+from repro.resilience.policy import RetryPolicy
 
-#: Serving tiers, fastest first; run_query walks this chain.
-TIERS = ("compiled", "reference", "naive")
+#: The ladder's rungs, fastest first.
+TIERS = ("compiled", "naive")
+
+#: :func:`run_query`'s retry policy: one attempt, then the scan.
+_ONE_ATTEMPT = RetryPolicy(attempts=1)
 
 
 class BudgetedAccessCounter(AccessCounter):
@@ -83,14 +77,14 @@ class BudgetedAccessCounter(AccessCounter):
         unlimited).
     started:
         ``time.monotonic()`` timestamp the budget is measured from;
-        defaults to construction time.  The guard passes one start time
-        to every tier so fallbacks share the original deadline.
+        defaults to construction time.  The ladder passes one start time
+        to both rungs so the scan shares the original budget.
     deadline:
         Optional end-to-end :class:`~repro.resilience.deadline.Deadline`
         enforced alongside the per-tier budgets.  This is how the
-        deadline reaches *mid-traversal* in tiers with no kernel
-        checkpoint of their own (reference and naive): they charge this
-        counter per scored record, and the counter raises
+        deadline reaches *mid-traversal* in the scan, which has no
+        kernel checkpoint of its own: it charges this counter before it
+        scores, and the counter raises
         :class:`~repro.errors.DeadlineExceeded` the moment the request's
         time is gone.
     """
@@ -111,8 +105,8 @@ class BudgetedAccessCounter(AccessCounter):
     def enforce(self) -> None:
         """Raise :class:`QueryBudgetExceeded` if either budget is spent.
 
-        Called after every charge, and again by :func:`run_query` when a
-        tier *completes* — a query that scores nothing (an all-pseudo
+        Called after every charge, and again by :func:`ladder_top_k`
+        when a rung *completes* — a query that scores nothing (an all-pseudo
         index, an empty candidate set) never charges the counter, and
         without the completion check such a zero-access path could run
         arbitrarily past ``budget_ms`` yet return as if on time.
@@ -145,31 +139,135 @@ class BudgetedAccessCounter(AccessCounter):
         self.enforce()
 
 
-def _run_tier(
-    tier: str,
-    graph: DominantGraph,
-    snapshot: CompiledDG | None,
+def snapshot_scan(
+    compiled: CompiledDG,
     function: ScoringFunction,
     k: int,
-    where: WherePredicate | None,
-    stats: AccessCounter,
-    deadline: Deadline | None = None,
+    where: WherePredicate | None = None,
+    stats: AccessCounter | None = None,
+    overlay: DeltaOverlay | None = None,
 ) -> TopKResult:
-    if tier == "compiled":
-        if snapshot is None or snapshot.stale:
-            snapshot = graph.compile()
-        return CompiledAdvancedTraveler(snapshot).top_k(
-            function, k, where=where, stats=stats, deadline=deadline
-        )
-    if tier == "reference":
-        return AdvancedTraveler(graph).top_k(function, k, where=where, stats=stats)
-    if tier == "naive":
-        from repro.baselines.naive import naive_top_k_subset
+    """Full scan of a snapshot's real records: the ladder's last rung.
 
-        return naive_top_k_subset(
-            graph.dataset, graph.real_ids(), function, k, where=where, stats=stats
+    Reads only the snapshot's immutable arrays, so a degraded answer is
+    still epoch-consistent under concurrent maintenance.  With
+    ``overlay`` the scan covers the record set the overlay read serves:
+    base rows minus its deletions, plus its fresh records.  One
+    :func:`~repro.core.result.exact_top_k` call either way, under the
+    ``(-score, id)`` contract; pseudo records are never reported.
+    """
+    answerable = ~compiled.pseudo_mask
+    if overlay is not None:
+        deleted = overlay.deleted_mask(compiled.num_records)
+        if deleted is not None:
+            answerable = answerable & ~deleted
+    ids = compiled.record_ids.compress(answerable)
+    values = compiled.values.compress(answerable, axis=0)
+    if overlay is not None and overlay.delta_count:
+        ids = np.concatenate([ids, overlay.delta_ids])
+        # A fresh owning copy either way: scoring functions and ``where``
+        # are entitled to writable inputs, and the overlay stays frozen.
+        values = np.concatenate([values, overlay.delta_values])
+    return exact_top_k(
+        values, ids, function, k, where=where, stats=stats,
+        algorithm="snapshot-scan",
+    )
+
+
+def ladder_top_k(
+    compiled: CompiledDG,
+    overlay: DeltaOverlay | None,
+    functions: Sequence[ScoringFunction],
+    k: int,
+    *,
+    where: WherePredicate | None = None,
+    budget_ms: float | None = None,
+    budget_records: int | None = None,
+    deadline: Deadline | None = None,
+    breaker: CircuitBreaker | None = None,
+    retry: RetryPolicy = _ONE_ATTEMPT,
+    fallback: bool = True,
+    epoch: int | None = None,
+    compiled_rung: bool = True,
+) -> list[TopKResult]:
+    """Answer ``functions`` over one snapshot: compiled kernel, then scan.
+
+    One function runs the kernel under a :class:`BudgetedAccessCounter`
+    enforcing ``budget_ms``, ``budget_records`` and ``deadline``; many
+    run one batch sweep on the kernel's own counters and chunk-boundary
+    ``deadline`` checks (the batch path takes no budgets).  The kernel
+    runs under ``retry``, gated by ``breaker`` when ``fallback`` is on;
+    ``compiled_rung=False`` starts at the scan, which runs once per
+    function on counters sharing the ladder's start time.  Results are
+    stamped with the rung that answered and, when given, ``epoch``.
+    """
+    started = time.monotonic()
+    reason = None
+    if compiled_rung and fallback and breaker is not None and not breaker.allow():
+        reason = f"skipped: its circuit breaker is {breaker.state}"
+    elif compiled_rung:
+        counted = len(functions) == 1
+
+        def attempt() -> "list[TopKResult]":
+            stats = [
+                BudgetedAccessCounter(budget_records, budget_ms, started, deadline)
+            ] if counted else None
+            if overlay is None:
+                results = batch_top_k(
+                    compiled, functions, k,
+                    where=where, stats=stats, deadline=deadline,
+                )
+            else:
+                results = overlay_batch_top_k(
+                    compiled, overlay, functions, k,
+                    where=where, stats=stats, deadline=deadline,
+                )
+            if stats is not None:
+                stats[0].enforce()
+            return results
+
+        tier_started = time.monotonic()
+        try:
+            results = retry.run(attempt, deadline=deadline)
+        except QueryBudgetExceeded as exc:
+            # The request's verdict, not the rung's failure: no breaker
+            # charge and no scan, which would only spend more.
+            exc.tier = exc.tier or "compiled"
+            raise
+        except Exception as exc:  # repro: noqa[typed-errors] -- the ladder exists to absorb arbitrary kernel faults; anything narrower would crash on the exact bugs the scan backs up
+            if breaker is not None:
+                breaker.record_failure()
+            if not fallback:
+                raise
+            reason = f"failed ({type(exc).__name__}: {exc})"
+        else:
+            if breaker is not None:
+                # Per query, so reads and batches feed one latency estimate.
+                elapsed_ms = 1000.0 * (time.monotonic() - tier_started)
+                breaker.record_success(elapsed_ms / len(functions))
+            for index, result in enumerate(results):
+                results[index] = result.served_by("compiled", epoch)
+            return results
+    if reason is not None:
+        warnings.warn(
+            DegradedResultWarning(
+                f"compiled tier {reason}; degrading to the snapshot scan"
+            ),
+            stacklevel=3,
         )
-    raise ValueError(f"unknown serving tier {tier!r}")
+    scanned = []
+    for function in functions:
+        stats = BudgetedAccessCounter(budget_records, budget_ms, started, deadline)
+        try:
+            result = snapshot_scan(
+                compiled, function, k, where=where, stats=stats, overlay=overlay
+            )
+            stats.enforce()
+        except QueryBudgetExceeded as exc:
+            exc.tier = exc.tier or "naive"
+            raise
+        scanned.append(result.served_by("naive", epoch))
+    return scanned
 
 
 def run_query(
@@ -186,58 +284,20 @@ def run_query(
     deadline: Deadline | None = None,
     breakers: BreakerBoard | None = None,
 ) -> TopKResult:
-    """Answer a top-k query with budgets and engine degradation.
+    """Answer a top-k query over a mutable graph through the ladder.
 
-    Parameters
-    ----------
-    graph:
-        The (possibly Extended) Dominant Graph to serve from.
-    function, k, where:
-        As :meth:`repro.core.advanced.AdvancedTraveler.top_k`.
-    engine:
-        First tier to try: ``"auto"``/``"compiled"`` start at the
-        compiled kernel, ``"reference"`` at the paper's Algorithm 2,
-        ``"naive"`` at the full scan.
-    budget_ms:
-        Wall-clock budget in milliseconds, shared across every tier the
-        query touches.  Exceeding it raises
-        :class:`~repro.errors.QueryBudgetExceeded`.
-    budget_records:
-        Accessed-record budget per tier attempt (the paper's cost metric).
-    fallback:
-        When ``True`` (default), an engine failure degrades to the next
-        tier with a :class:`~repro.errors.DegradedResultWarning`; when
-        ``False``, the first failure propagates unchanged.
-    snapshot:
-        Optional pre-built :class:`~repro.core.compiled.CompiledDG` for
-        the compiled tier; ignored (and rebuilt) when stale.
-    deadline:
-        Optional end-to-end request deadline, shared across the whole
-        degradation chain (unlike ``budget_ms``, which restarts per
-        tier).  Checked before each tier attempt, enforced
-        mid-traversal through the budgeted counter and the kernel chunk
-        checkpoints, and consulted for remaining-time-aware skipping:
-        when a tier fails and the breakers' smoothed latency estimate
-        for the *next* tier already exceeds the time left, the guard
-        raises :class:`~repro.errors.DeadlineExceeded` instead of
-        starting a fallback that provably cannot finish.
-    breakers:
-        Optional :class:`~repro.resilience.breaker.BreakerBoard` of
-        per-tier circuit breakers (keys ``"tier:<name>"``).  A tier
-        whose breaker is open is skipped with a
-        :class:`~repro.errors.DegradedResultWarning`; outcomes and
-        latencies feed back into the board.  The last tier in the chain
-        is always attempted — a breaker must never leave a query with
-        no tier at all.
+    Compiles ``graph`` (or reuses ``snapshot`` unless it is stale) and
+    runs :func:`ladder_top_k` over the result with one kernel attempt.
+    An error from ``graph.compile()`` propagates: there is no snapshot
+    to scan.  ``engine`` is the first rung: ``"auto"``/``"compiled"``
+    or ``"naive"``.  ``budget_ms`` counts from the ladder's start (after
+    the compile) and ``budget_records`` applies per rung; ``deadline``
+    covers both rungs.  ``breakers`` lends its ``"tier:compiled"``
+    breaker to the kernel rung.  ``fallback=False`` propagates a kernel
+    fault instead of degrading.  The result's
+    :attr:`~repro.core.result.TopKResult.tier` names the rung that
+    answered.
 
-    Returns
-    -------
-    TopKResult
-        With :attr:`~repro.core.result.TopKResult.tier` set to the tier
-        that actually answered.
-
-    Examples
-    --------
     >>> from repro.core.dataset import Dataset
     >>> from repro.core.builder import build_dominant_graph
     >>> from repro.core.functions import LinearFunction
@@ -250,84 +310,16 @@ def run_query(
     start = engine if engine != "auto" else "compiled"
     if start not in TIERS:
         raise ValueError(f"unknown engine {start!r} (choose from {TIERS})")
-    chain = TIERS[TIERS.index(start):]
-    if not fallback:
-        chain = chain[:1]
-    started = time.monotonic()
-
-    failure: Exception | None = None
-    for position, tier in enumerate(chain):
-        last = position + 1 == len(chain)
-        if deadline is not None:
-            deadline.check(stage="guard", tier=tier)
-        breaker = None if breakers is None else breakers.get(f"tier:{tier}")
-        if breaker is not None and not last and not breaker.allow():
-            warnings.warn(
-                DegradedResultWarning(
-                    f"{tier} tier skipped: its circuit breaker is "
-                    f"{breaker.state}; degrading to the "
-                    f"{chain[position + 1]} tier"
-                ),
-                stacklevel=2,
-            )
-            continue
-        if (
-            deadline is not None
-            and breaker is not None
-            and not last
-            and (estimate := breaker.latency_ewma_ms) is not None
-            and deadline.remaining_ms() < estimate
-        ):
-            # This tier's typical latency already exceeds the time left,
-            # and every later tier is slower still: fail fast rather
-            # than burn the remaining budget on a doomed attempt.
-            raise DeadlineExceeded(
-                deadline.total_ms,
-                deadline.spent_ms(),
-                stage="guard-skip",
-                tier=tier,
-            )
-        stats = BudgetedAccessCounter(
-            max_records=budget_records,
-            budget_ms=budget_ms,
-            started=started,
-            deadline=deadline,
-        )
-        tier_started = time.monotonic()
-        try:
-            result = _run_tier(
-                tier, graph, snapshot, function, k, where, stats, deadline
-            )
-            # Completion check: a tier that scored nothing (zero-access
-            # fast path) never tripped the per-access enforcement, but
-            # the wall-clock budget applies to elapsed time regardless.
-            stats.enforce()
-        except QueryBudgetExceeded as exc:
-            # Lower tiers access at least as many records: degrading
-            # around a budget would just spend more of it.  Surface the
-            # typed error with the tier that tripped it.  Budget trips
-            # are the caller's fault, not the tier's: no breaker charge.
-            exc.tier = exc.tier or tier
-            raise
-        except Exception as exc:  # repro: noqa[typed-errors] -- the degradation chain exists to absorb arbitrary engine faults; anything narrower would crash on the exact bugs it guards against
-            if breaker is not None:
-                breaker.record_failure()
-            failure = exc
-            if last:
-                raise
-            warnings.warn(
-                DegradedResultWarning(
-                    f"{tier} engine failed ({type(exc).__name__}: {exc}); "
-                    f"degrading to the {chain[position + 1]} tier"
-                ),
-                stacklevel=2,
-            )
-            continue
-        if breaker is not None:
-            breaker.record_success(
-                1000.0 * (time.monotonic() - tier_started)
-            )
-        return result.served_by(tier)
-    if failure is not None:
-        raise failure
-    raise InvariantViolation("no serving tier ran")
+    if snapshot is None or snapshot.stale:
+        snapshot = graph.compile()
+    (result,) = ladder_top_k(
+        snapshot, None, [function], k,
+        where=where,
+        budget_ms=budget_ms,
+        budget_records=budget_records,
+        deadline=deadline,
+        breaker=None if breakers is None else breakers.get("tier:compiled"),
+        fallback=fallback,
+        compiled_rung=start == "compiled",
+    )
+    return result

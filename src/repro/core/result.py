@@ -34,9 +34,10 @@ class TopKResult:
     algorithm:
         Human-readable name of the producing algorithm.
     tier:
-        Which serving tier actually answered, when the query ran under
-        :func:`repro.core.guard.run_query` (``"compiled"``,
-        ``"reference"``, or ``"naive"``; empty for direct engine calls).
+        Which rung of the degradation ladder
+        (:func:`repro.core.guard.ladder_top_k`) answered: ``"compiled"``
+        or ``"naive"`` (the snapshot scan); empty for direct engine
+        calls.
     epoch:
         Which published snapshot answered, when the query ran against a
         :class:`~repro.serve.index.ServingIndex` (monotone per publish;

@@ -29,7 +29,7 @@ Hierarchy
 ``InvariantViolation`` (also a ``RuntimeError``)
     An internal invariant the paper's correctness argument relies on
     (Definition 2.3/2.4 layer and edge properties, the Extended DG
-    pseudo cover, the guard's tier chain) was found broken at runtime.
+    pseudo cover) was found broken at runtime.
     Always a bug — in this codebase or in a caller that mutated
     structures behind the index's back — never a recoverable condition.
 
@@ -144,8 +144,8 @@ class InvariantViolation(ReproError, RuntimeError):
     """An internal structural invariant was found broken at runtime.
 
     Raised where the code proves itself wrong: a skyline routine that
-    makes no progress, a pseudo-cover repair that fails to cover, a
-    degradation chain that ran no tier.  Subclasses ``RuntimeError`` so
+    makes no progress, a pseudo-cover repair that fails to cover.
+    Subclasses ``RuntimeError`` so
     pre-PR-2 callers that caught the builtin keep working.
     """
 

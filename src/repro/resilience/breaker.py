@@ -20,9 +20,10 @@ moves through the classic three states:
     (``half_open_max``) are admitted.  All probes succeeding closes the
     breaker; any probe failing re-opens it for another cooldown.
 
-Breakers also keep an EWMA of success latency so tier selection can ask
-"can this tier finish in the time the request has left?" — the
-remaining-time-aware skipping in :func:`repro.core.guard.run_query`.
+Breakers also keep an EWMA of success latency, reported in health
+probes.  The degradation ladder
+(:func:`repro.core.guard.ladder_top_k`) consults only :meth:`allow`: an
+open ``tier:compiled`` breaker sends a query straight to the scan.
 
 All methods are thread-safe; the clock is injectable so the chaos suite
 can drive state transitions deterministically.

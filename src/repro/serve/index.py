@@ -109,11 +109,12 @@ from typing import Any, Iterable, NoReturn
 import numpy as np
 
 from repro.core.builder import build_dominant_graph
-from repro.core.compiled import CompiledDG, batch_top_k
+from repro.core.compiled import CompiledDG
 from repro.core.dataset import Dataset
 from repro.core.functions import ScoringFunction, WherePredicate
 from repro.core.graph import DominantGraph
-from repro.core.guard import BudgetedAccessCounter
+# snapshot_scan is re-exported: repro.serve and its callers import it from here.
+from repro.core.guard import ladder_top_k, snapshot_scan
 from repro.core.io import (
     _compile_payload,
     _construct,
@@ -129,19 +130,12 @@ from repro.core.maintenance import (
     validate_delete_batch,
     validate_insert_batch,
 )
-from repro.core.overlay import (
-    DeltaOverlay,
-    alive_record_ids,
-    overlay_batch_top_k,
-    overlay_top_k,
-)
-from repro.core.result import TopKResult, exact_top_k
-from repro.metrics.counters import AccessCounter
+from repro.core.overlay import DeltaOverlay, alive_record_ids
+from repro.core.result import TopKResult
 from repro.errors import (
     DeadlineExceeded,
     DegradedResultWarning,
     IndexCorruptionError,
-    QueryBudgetExceeded,
     ServiceUnavailable,
     StoreCorruptionError,
     WALCorruptionError,
@@ -452,54 +446,6 @@ class ServingSnapshot:
         return alive_record_ids(self.compiled, self.overlay)
 
 
-def snapshot_scan(
-    compiled: CompiledDG,
-    function: ScoringFunction,
-    k: int,
-    where: WherePredicate | None = None,
-    stats: AccessCounter | None = None,
-    overlay: DeltaOverlay | None = None,
-) -> TopKResult:
-    """Full scan of a snapshot's real records: the serve-side oracle tier.
-
-    The guard's naive tier scans the *mutable* graph, which concurrent
-    maintenance makes unsafe here; this scan reads only the snapshot's
-    immutable arrays, so a degraded answer is still epoch-consistent.
-    Same answer contract as every other engine: non-increasing scores,
-    ties broken by ascending record id, pseudo records never reported.
-
-    With ``overlay`` given the scan covers the same record set the
-    overlay query path serves: base rows minus the overlay's deletions,
-    plus the overlay's fresh records — still one exhaustive
-    :func:`~repro.core.result.exact_top_k` scan, still the oracle for
-    that snapshot.
-    """
-    answerable = ~compiled.pseudo_mask
-    if overlay is not None:
-        deleted = overlay.deleted_mask(compiled.num_records)
-        if deleted is not None:
-            answerable = answerable & ~deleted
-    ids = compiled.record_ids.compress(answerable)
-    values = compiled.values.compress(answerable, axis=0)
-    if overlay is not None and overlay.delta_count:
-        ids = np.concatenate([ids, overlay.delta_ids])
-        # A fresh owning copy either way: scoring functions and ``where``
-        # are entitled to writable inputs, and the overlay stays frozen.
-        values = np.concatenate([values, overlay.delta_values])
-    return exact_top_k(
-        values, ids, function, k, where=where, stats=stats,
-        algorithm="snapshot-scan",
-    )
-
-
-class _BreakerSkip(Exception):
-    """Internal control flow: a tier was skipped by its open breaker.
-
-    Raised into the degradation handler so a breaker-rejected tier and
-    a failed tier take the same fallback path; never escapes the index.
-    """
-
-
 # ----------------------------------------------------------------------
 # The serving index
 # ----------------------------------------------------------------------
@@ -646,6 +592,7 @@ class ServingIndex:
             else retry_policy
         )
         self._breakers = BreakerBoard(window=8, min_calls=3, cooldown=0.5)
+        self._compiled_breaker = self._breakers.get("tier:compiled")
         self._admission = AdmissionController(
             max_concurrent=max_concurrent,
             max_waiting=max_waiting,
@@ -923,12 +870,12 @@ class ServingIndex:
         The snapshot is pinned once, after admission; everything the
         query touches — traversal, retries, the degraded scan — reads
         that one immutable version, so the result is tagged with its
-        epoch and can never mix two index states.  Budgets behave as in
-        :func:`repro.core.guard.run_query` (shared deadline, no
-        degradation around a budget violation).  Transient traversal
-        faults are retried with backoff, then degraded to
-        :func:`snapshot_scan` under a :class:`DegradedResultWarning`
-        unless ``fallback=False``.
+        epoch and can never mix two index states.  The query runs down
+        :func:`repro.core.guard.ladder_top_k`: the compiled kernel behind
+        the ``tier:compiled`` breaker, transient faults retried with
+        backoff, then :func:`snapshot_scan` under a
+        :class:`DegradedResultWarning` unless ``fallback=False``.
+        Budgets are shared by both rungs and never degraded around.
 
         ``deadline_ms`` grants the request an end-to-end deadline
         (default: the index's
@@ -968,81 +915,22 @@ class ServingIndex:
                 cached = self._cache.get(key)
                 if cached is not None:
                     return cached
-            started = time.monotonic()
-            compiled_breaker = self._breakers.get("tier:compiled")
-
-            def attempt() -> TopKResult:
-                stats = BudgetedAccessCounter(
-                    max_records=budget_records,
-                    budget_ms=budget_ms,
-                    started=started,
-                    deadline=deadline,
-                )
-                if snap.overlay is not None:
-                    result = overlay_top_k(
-                        snap.compiled, snap.overlay, function, k,
-                        where=where, stats=stats, deadline=deadline,
-                    )
-                else:
-                    result = snap.compiled.top_k(
-                        function, k, where=where, stats=stats,
-                        deadline=deadline,
-                    )
-                stats.enforce()
-                return result
-
-            try:
-                if fallback and not compiled_breaker.allow():
-                    raise _BreakerSkip(
-                        f"compiled tier breaker is {compiled_breaker.state}"
-                    )
-                tier_started = time.monotonic()
-                result = self._retry.run(attempt, deadline=deadline)
-                compiled_breaker.record_success(
-                    1000.0 * (time.monotonic() - tier_started)
-                )
-                tier = "compiled"
-            except QueryBudgetExceeded as exc:
-                # Budget and deadline expiries are the request's verdict,
-                # not the tier's failure: no breaker charge, no fallback
-                # (every lower tier only spends more of what ran out).
-                exc.tier = exc.tier or "compiled"
-                raise
-            except Exception as exc:  # repro: noqa[typed-errors] -- degrading to the snapshot scan must absorb whatever the compiled tier throws
-                if not isinstance(exc, _BreakerSkip):
-                    compiled_breaker.record_failure()
-                if not fallback:
-                    raise
-                warnings.warn(
-                    DegradedResultWarning(
-                        f"snapshot traversal failed after retries "
-                        f"({type(exc).__name__}: {exc}); degrading to the "
-                        "snapshot scan"
-                    ),
-                    stacklevel=2,
-                )
-                stats = BudgetedAccessCounter(
-                    max_records=budget_records,
-                    budget_ms=budget_ms,
-                    started=started,
-                    deadline=deadline,
-                )
-                try:
-                    result = snapshot_scan(
-                        snap.compiled, function, k, where=where,
-                        stats=stats, overlay=snap.overlay,
-                    )
-                    stats.enforce()
-                except QueryBudgetExceeded as budget_exc:
-                    budget_exc.tier = budget_exc.tier or "naive"
-                    raise
-                tier = "naive"
-            final = result.served_by(tier, snap.epoch)
-            if key is not None and tier == "compiled" and self._cache is not None:
+            (result,) = ladder_top_k(
+                snap.compiled, snap.overlay, [function], k,
+                where=where,
+                budget_ms=budget_ms,
+                budget_records=budget_records,
+                deadline=deadline,
+                breaker=self._compiled_breaker,
+                retry=self._retry,
+                fallback=fallback,
+                epoch=snap.epoch,
+            )
+            if key is not None and result.tier == "compiled":
                 # Degraded answers are exact too, but caching them would
                 # keep reporting tier="naive" after the engine healed.
-                self._cache.put(key, final)
-            return final
+                self._cache.put(key, result)
+            return result
 
     def query_batch(
         self,
@@ -1067,13 +955,15 @@ class ServingIndex:
         per query; only the misses are computed.
 
         Degradation ladder: a fabric infrastructure failure (or an open
-        ``fabric`` circuit breaker) falls back to the in-process
-        compiled sweep, which in turn falls back to the per-query
-        :func:`snapshot_scan` — every rung answers from the same pinned
-        snapshot, so even a twice-degraded batch is epoch-consistent
-        and bit-identical.  A :class:`~repro.errors.DeadlineExceeded`
-        never falls through the ladder: when the request's time ran
-        out, a slower rung cannot help, so the typed error propagates.
+        ``fabric`` circuit breaker) falls back to the in-process ladder
+        :meth:`query` uses — the compiled sweep behind the
+        ``tier:compiled`` breaker and the retry policy, then a
+        :func:`snapshot_scan` per query.  Every rung answers from the
+        same pinned snapshot, so even a twice-degraded batch is
+        epoch-consistent and bit-identical.  A
+        :class:`~repro.errors.DeadlineExceeded` never falls through the
+        ladder: when the request's time ran out, a slower rung cannot
+        help, so the typed error propagates.
 
         ``deadline_ms`` grants the end-to-end deadline (default: the
         index's timeout policy); it clamps the admission wait, rides
@@ -1104,9 +994,18 @@ class ServingIndex:
             misses = [i for i, result in enumerate(results) if result is None]
             if misses:
                 miss_functions = [requested[i] for i in misses]
-                computed = self._compute_batch(
+                computed = self._fabric_batch(
                     snap, miss_functions, k, where, mode, deadline
                 )
+                if computed is None:
+                    computed = ladder_top_k(
+                        snap.compiled, snap.overlay, miss_functions, k,
+                        where=where,
+                        deadline=deadline,
+                        breaker=self._compiled_breaker,
+                        retry=self._retry,
+                        epoch=snap.epoch,
+                    )
                 for index, result in zip(misses, computed):
                     results[index] = result
                     if (
@@ -1122,7 +1021,7 @@ class ServingIndex:
                         self._cache.put(keys[index], result)
             return [result for result in results if result is not None]
 
-    def _compute_batch(
+    def _fabric_batch(
         self,
         snap: ServingSnapshot,
         miss_functions: list[ScoringFunction],
@@ -1130,11 +1029,13 @@ class ServingIndex:
         where: WherePredicate | None,
         mode: str,
         deadline: Deadline | None,
-    ) -> list[TopKResult]:
-        """Run batch misses down the ladder: fabric → in-process → scan.
+    ) -> list[TopKResult] | None:
+        """The batch ladder's first rung: the worker fabric, or ``None``.
 
-        The fabric rung only serves overlay-free snapshots: workers hold
-        the shared-memory *base*, which is republished at compaction, so
+        ``None`` (no fabric, a live overlay, an open ``fabric`` breaker
+        or a fabric fault) sends the misses to the in-process ladder.
+        The fabric only serves overlay-free snapshots: workers hold the
+        shared-memory *base*, which is republished at compaction, so
         while a delta overlay is live the batch runs the in-process
         merge instead (still exact, still epoch-consistent).
         """
@@ -1180,44 +1081,7 @@ class ServingIndex:
                 ),
                 stacklevel=3,
             )
-        try:
-            if snap.overlay is not None:
-                swept = overlay_batch_top_k(
-                    snap.compiled, snap.overlay, miss_functions, k,
-                    where=where, deadline=deadline,
-                )
-            else:
-                swept = batch_top_k(
-                    snap.compiled, miss_functions, k, where=where,
-                    deadline=deadline,
-                )
-            return [
-                result.served_by("compiled", snap.epoch)
-                for result in swept
-            ]
-        except QueryBudgetExceeded:
-            raise
-        except Exception as exc:  # repro: noqa[typed-errors] -- the last automatic rung before the scan oracle must absorb arbitrary kernel faults
-            warnings.warn(
-                DegradedResultWarning(
-                    f"in-process batch failed ({type(exc).__name__}: "
-                    f"{exc}); degrading to the snapshot scan"
-                ),
-                stacklevel=3,
-            )
-            computed = []
-            for function in miss_functions:
-                if deadline is not None:
-                    deadline.check(stage="scan", tier="naive")
-                stats = BudgetedAccessCounter(deadline=deadline)
-                result = snapshot_scan(
-                    snap.compiled, function, k, where=where, stats=stats,
-                    overlay=snap.overlay,
-                )
-                computed.append(
-                    result.served_by("naive", snap.epoch)
-                )
-            return computed
+        return None
 
     # ------------------------------------------------------------------
     # Writes (single-writer, validated, logged, published)

@@ -6,7 +6,7 @@ The resilience contract under test, for each fault family:
   arrays) must surface as :class:`IndexCorruptionError` — or load
   cleanly with bit-identical answers when the damage was harmless;
 - **engine faults** (scoring functions that throw mid-traversal) must
-  degrade to a simpler serving tier with identical answers and a
+  degrade to the snapshot scan with identical answers and a
   :class:`DegradedResultWarning`;
 - **budget violations** must raise :class:`QueryBudgetExceeded`, never
   return a truncated answer;
@@ -33,6 +33,7 @@ from repro.errors import (
     IndexCorruptionError,
     QueryBudgetExceeded,
 )
+from repro.resilience.breaker import BreakerBoard
 from repro.testing.faults import (
     FlakyFunction,
     flip_bits,
@@ -150,29 +151,43 @@ class TestRepair:
 class TestEngineFaults:
     """Flaky engines: degrade with a warning, same answers, right tier."""
 
-    def test_compiled_fault_degrades_to_reference(self, graph):
+    def test_compiled_fault_degrades_to_naive(self, graph):
         oracle = answers(graph)
         flaky = FlakyFunction(F, times=1)
         with pytest.warns(DegradedResultWarning, match="compiled"):
             result = run_query(graph, flaky, K, engine="auto")
-        assert result.tier == "reference"
-        assert result.score_multiset() == pytest.approx(oracle)
-
-    def test_mid_traversal_fault_degrades(self, graph):
-        oracle = answers(graph)
-        flaky = FlakyFunction(F, times=1, after=3)
-        with pytest.warns(DegradedResultWarning):
-            result = run_query(graph, flaky, K, engine="reference")
         assert result.tier == "naive"
         assert result.score_multiset() == pytest.approx(oracle)
+
+    def test_mid_traversal_fault_degrades(self):
+        # Enough records, and a predicate rare enough, that the kernel
+        # sweeps several layer chunks: the fault strikes after the first
+        # chunk was scored and charged.
+        rng = np.random.default_rng(42)
+        graph = build_extended_graph(Dataset(rng.random((3000, 2))))
+        where = lambda vector: vector[0] < 0.05  # noqa: E731
+        oracle = AdvancedTraveler(graph).top_k(F, K, where=where)
+        flaky = FlakyFunction(F, times=1, after=1)
+        with pytest.warns(DegradedResultWarning):
+            result = run_query(graph, flaky, K, where=where)
+        assert flaky.successes_before_failure == 0
+        assert flaky.faults_raised == 1
+        assert result.tier == "naive"
+        assert result.ids == oracle.ids
 
     def test_double_fault_lands_on_naive(self, graph):
+        """A fault opens the compiled breaker; the next query is skipped
+        straight to the scan.  Both answer exactly, on the scan."""
         oracle = answers(graph)
-        flaky = FlakyFunction(F, times=2)
-        with pytest.warns(DegradedResultWarning):
-            result = run_query(graph, flaky, K, engine="auto")
-        assert result.tier == "naive"
-        assert result.score_multiset() == pytest.approx(oracle)
+        board = BreakerBoard(min_calls=1, failure_threshold=0.5)
+        with pytest.warns(DegradedResultWarning, match="failed"):
+            first = run_query(graph, FlakyFunction(F, times=1), K, breakers=board)
+        assert board.get("tier:compiled").state == "open"
+        with pytest.warns(DegradedResultWarning, match="circuit breaker"):
+            second = run_query(graph, F, K, breakers=board)
+        for result in (first, second):
+            assert result.tier == "naive"
+            assert result.score_multiset() == pytest.approx(oracle)
 
     def test_no_fallback_propagates_the_fault(self, graph):
         flaky = FlakyFunction(F, times=1)

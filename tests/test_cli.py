@@ -60,14 +60,23 @@ class TestCommands:
         assert out.count("record ") == 5
 
     def test_query_compiled_engine_matches_reference(self, index_path, capsys):
+        # The reference here is the exact snapshot scan, the ladder's oracle.
         argv = ["query", "--index", index_path,
                 "--weights", "0.5,0.3,0.2", "--k", "5"]
-        assert main(argv) == 0
+        assert main(argv + ["--engine", "naive"]) == 0
         reference = capsys.readouterr().out
         assert main(argv + ["--engine", "compiled"]) == 0
         compiled = capsys.readouterr().out
         # Same ranked records and scores; only the timing line may differ.
         assert reference.splitlines()[1:] == compiled.splitlines()[1:]
+
+    def test_query_engine_defaults_to_auto(self, index_path, capsys):
+        argv = ["query", "--index", index_path,
+                "--weights", "0.5,0.3,0.2", "--k", "5"]
+        assert main(argv) == 0
+        assert "compiled tier" in capsys.readouterr().out.splitlines()[0]
+        with pytest.raises(SystemExit):
+            main(argv + ["--engine", "reference"])
 
     def test_query_weight_dim_mismatch(self, index_path):
         with pytest.raises(SystemExit):

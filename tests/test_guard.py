@@ -1,6 +1,8 @@
-"""Guarded query execution: tiers, budgets, and the degradation chain."""
+"""Guarded query execution: tiers, budgets, and the degradation ladder."""
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 import pytest
@@ -25,9 +27,9 @@ class TestTiers:
     """Every tier answers; every tier answers the same."""
 
     def test_tier_order(self):
-        assert TIERS == ("compiled", "reference", "naive")
+        assert TIERS == ("compiled", "naive")
 
-    @pytest.mark.parametrize("engine", ["auto", "compiled", "reference", "naive"])
+    @pytest.mark.parametrize("engine", ["auto", "compiled", "naive"])
     def test_every_tier_agrees(self, graph, engine):
         result = run_query(graph, F, 5, engine=engine)
         oracle = run_query(graph, F, 5, engine="naive")
@@ -35,7 +37,7 @@ class TestTiers:
         assert result.ids == oracle.ids
         assert result.scores == pytest.approx(oracle.scores)
 
-    @pytest.mark.parametrize("engine", ["compiled", "reference", "naive"])
+    @pytest.mark.parametrize("engine", ["compiled", "naive"])
     def test_where_predicate_respected_everywhere(self, graph, engine):
         where = lambda v: v[0] < 0.5
         result = run_query(graph, F, 5, engine=engine, where=where)
@@ -61,6 +63,27 @@ class TestTiers:
     def test_unknown_engine_raises(self, graph):
         with pytest.raises(ValueError, match="unknown engine"):
             run_query(graph, F, 5, engine="quantum")
+        # The reference Traveler is no longer a serving tier.
+        with pytest.raises(ValueError, match="unknown engine"):
+            run_query(graph, F, 5, engine="reference")
+
+    def test_naive_tier_scans_the_compiled_snapshot(self, graph):
+        result = run_query(graph, F, 5, engine="naive")
+        assert result.algorithm == "snapshot-scan"
+        assert result.stats.computed == len(graph.real_ids())
+
+    def test_compile_failure_propagates(self, graph, monkeypatch):
+        """With no snapshot there is nothing to scan: the error is the
+        caller's, undegraded and unwarned."""
+
+        def broken():
+            raise RuntimeError("compile failed")
+
+        monkeypatch.setattr(graph, "compile", broken)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match="compile failed"):
+                run_query(graph, F, 5)
 
     def test_nonpositive_k_raises(self, graph):
         with pytest.raises(ValueError, match="positive"):

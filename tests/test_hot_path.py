@@ -3,14 +3,15 @@
 The kernel's arithmetic is a small part of a served read; what is left
 is Python-level bookkeeping, and the cheapest stable proxy for it is how
 many calls into this package one read makes.  Counted with ``cProfile``
-over uncached ``ServingIndex.query`` reads and filtered to functions
-defined under ``src/repro/``, the figure involves no clock, so it does
-not move with the host or the numpy build — only with the code.  The
-same count over one ``build_dominant_graph`` keeps per-record and
-per-parent Python loops out of the build, and over ``insert_record``
-keeps set-to-array round trips out of a write.  Named-call counts over
-a recovery keep the graph build off the read path and make it happen
-once.  The served import closure — every ``repro`` module that
+over uncached ``ServingIndex.query`` reads (and ``query_batch`` sweeps)
+and filtered to functions defined under ``src/repro/``, the figure
+involves no clock, so it does not move with the host or the numpy
+build — only with the code.  The same count over one
+``build_dominant_graph`` keeps per-record and per-parent Python loops
+out of the build, and over ``insert_record`` keeps set-to-array round
+trips out of a write.  Named-call counts over a recovery keep the graph
+build off the read path and make it happen once.  The served import
+closure — every ``repro`` module that
 ``import repro.serve`` loads — is pinned the same way: a module may
 leave it, never join it.
 """
@@ -49,6 +50,16 @@ MAX_CALLS_PER_READ = 48
 #: where ranking the base answer and then the base-plus-delta pool as
 #: two selections and two results took 60.
 MAX_CALLS_PER_OVERLAY_READ = 58
+
+#: Calls into ``src/repro`` one uncached ``query_batch`` of
+#: ``BATCH_WIDTH`` may make: 320 when the in-process batch ran its own
+#: rungs, 326 once it shared the read path's ladder (the breaker gate,
+#: the retry policy and the ladder itself, a fixed few per batch).  A
+#: call per query would add 32.
+MAX_CALLS_PER_BATCH = 328
+
+BATCH_WIDTH = 32
+BATCHES = 10
 
 BUILD_RECORDS = 2500
 
@@ -161,6 +172,34 @@ def test_uncached_read_makes_few_package_calls(tmp_path):
 
     calls = package_calls(profiler)
     assert calls / READS <= MAX_CALLS_PER_READ, calls / READS
+
+
+def test_uncached_batch_makes_few_package_calls(tmp_path):
+    weights = np.random.default_rng(7).dirichlet(
+        np.ones(4), size=(BATCHES + 2) * BATCH_WIDTH
+    )
+    batches = [
+        [LinearFunction(row) for row in weights[start:start + BATCH_WIDTH]]
+        for start in range(0, len(weights), BATCH_WIDTH)
+    ]
+    graph = build_dominant_graph(uniform(2500, 4, seed=5))
+    index = ServingIndex.create(str(tmp_path / "serve"), graph, fsync="batch")
+    try:
+        for functions in batches[BATCHES:]:  # warm the lazy caches
+            index.query_batch(functions, k=10)
+        hits_before = index.health()["cache"]["hits"]
+        profiler = cProfile.Profile()
+        profiler.enable()
+        for functions in batches[:BATCHES]:
+            results = index.query_batch(functions, k=10)
+        profiler.disable()
+        assert index.health()["cache"]["hits"] == hits_before
+        assert [result.tier for result in results] == ["compiled"] * BATCH_WIDTH
+    finally:
+        index.close(checkpoint=False)
+
+    calls = package_calls(profiler)
+    assert calls / BATCHES <= MAX_CALLS_PER_BATCH, calls / BATCHES
 
 
 def test_overlay_read_selects_once_and_builds_one_result(tmp_path):

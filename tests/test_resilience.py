@@ -281,13 +281,13 @@ class TestGuardDeadline:
         assert board.get("tier:compiled").state == OPEN
         with pytest.warns(DegradedResultWarning, match="compiled"):
             result = run_query(graph, F, 5, breakers=board)
-        assert result.tier == "reference"
+        assert result.tier == "naive"
         oracle = run_query(graph, F, 5, engine="naive")
         assert result.ids == oracle.ids
 
     def test_open_breakers_never_skip_the_last_tier(self, graph):
         board = BreakerBoard(min_calls=1, failure_threshold=0.5)
-        for tier in ("compiled", "reference", "naive"):
+        for tier in ("compiled", "naive"):
             board.get(f"tier:{tier}").record_failure()
         with pytest.warns(DegradedResultWarning):
             result = run_query(graph, F, 5, breakers=board)
